@@ -7,15 +7,12 @@ solve), `invert` (parameter reconstruction), `eval` (field comparison) and
 runtime error (missing files, malformed formats, solver failures).
 
 Lame fields on disk are directories holding `lambda.f64grid` and
-`mu.f64grid`.  The SPECKLEFLOW_THREADS environment variable (0 = auto)
-caps internal parallelism; all computations here are deterministic
-regardless of its value.
+`mu.f64grid`.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,7 +22,7 @@ from . import flow as flowmod
 from . import invert as invertmod
 from .elastic import (LameField, forward_solve, read_bc_config,
                       write_bc_config, young_modulus)
-from .errors import DomainError, FormatError, SpeckleFlowError
+from .errors import FormatError, SpeckleFlowError
 from .grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
 from .phantom import PhantomSpec, make_inclusion_phantom, make_moving_squares
 from .speckle import (read_samples_csv, run_tracking, tracking_config,
@@ -183,12 +180,8 @@ def _cmd_forward(args):
 def _cmd_invert(args):
     udelta = _as_vector(read_f64grid(args.data), "data")
     bc = read_bc_config(args.bc)
-    from .config import read_kv_config
-    raw = read_kv_config(args.config)
-    mask = None
-    if "mask_file" in raw:
-        mask = _as_scalar(read_f64grid(raw["mask_file"]), "mask")
-    cfg = invertmod.InversionConfig.from_config(args.config, mask=mask)
+    cfg = invertmod.InversionConfig.from_config(
+        args.config, read_mask=lambda p: _as_scalar(read_f64grid(p), "mask"))
     lame, trace = invertmod.nesterov_iterate(cfg, udelta, bc)
     write_lame_dir(args.out, lame)
     write_f64grid(Path(args.out) / "young.f64grid", young_modulus(lame))
@@ -280,18 +273,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("SPECKLEFLOW_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"SPECKLEFLOW_THREADS must be an integer, got '{raw}'")
-    if n < 0:
-        raise DomainError("SPECKLEFLOW_THREADS must be nonnegative")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -299,7 +280,6 @@ def main(argv=None) -> int:
     except _UsageError:
         return 1
     try:
-        _check_thread_env()
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)

@@ -1,44 +1,65 @@
 """Plain-text `key = value` configuration files.
 
-Blank lines and lines starting with '#' are ignored.  Values keep their
-raw string form; the consuming module converts and validates them.
+One reader, `read_config`, serves the phantom, tracking, flow and inversion
+configs.  Blank lines and lines starting with '#' are ignored; every other
+line is `key = value`.  The accepted keys and their types come from the
+schemas passed in: a dataclass contributes its `int`, `float`, `str` and
+`bool` fields (except those whose field metadata sets `"config": False`),
+and a `{key: type}` dict adds keys that are not fields.  Booleans are
+written 1/true/yes/on or 0/false/no/off.  An unknown key, a duplicate key or
+a value that does not convert raises `FormatError` naming the file and line.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 from .errors import FormatError
 
+_TYPES = {t.__name__: t for t in (int, float, str, bool)}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
-def read_kv_config(path) -> dict:
+
+def _schema_types(schema) -> dict:
+    if not is_dataclass(schema):
+        return schema
+    # fields carry their annotation as a string under postponed evaluation
+    types = ((f.name, _TYPES.get(getattr(f.type, "__name__", f.type)))
+             for f in fields(schema) if f.metadata.get("config", True))
+    return {name: typ for name, typ in types if typ is not None}
+
+
+def read_config(path, what: str, *schemas) -> dict:
+    """Typed values of the keys present in the config at `path`.
+
+    `what` names the kind of config in error messages.
+    """
+    types = {}
+    for schema in schemas:
+        types.update(_schema_types(schema))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 text file") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise FormatError(f"{path}:{lineno}: empty key")
-            if key in out:
-                raise FormatError(f"{path}:{lineno}: duplicate key '{key}'")
-            out[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, raw = (s.strip() for s in stripped.partition("="))
+        where = f"{path}:{lineno}"
+        if not eq or not key:
+            raise FormatError(f"{where}: expected 'key = value'")
+        if key not in types:
+            raise FormatError(f"{where}: unknown {what} key '{key}'")
+        if key in out:
+            raise FormatError(f"{where}: duplicate key '{key}'")
+        typ = types[key]
+        try:
+            out[key] = _BOOLS[raw.lower()] if typ is bool else typ(raw)
+        except (KeyError, ValueError):
+            raise FormatError(f"{where}: '{key}' must be {typ.__name__}, "
+                              f"got '{raw}'") from None
     return out
-
-
-def check_keys(cfg: dict, allowed, what: str) -> None:
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise FormatError(f"unknown {what} key(s): {', '.join(unknown)}")
-
-
-def parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise FormatError(f"cannot parse boolean from '{s}'")

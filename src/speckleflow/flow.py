@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import check_keys, read_kv_config
+from .config import read_config
 from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
 from .grids import (ScalarGrid, VectorGrid, bilinear_sample, downsample,
                     prolong, temporal_difference)
@@ -90,18 +90,7 @@ class FlowParams:
 
     @classmethod
     def from_config(cls, path) -> "FlowParams":
-        cfg = read_kv_config(path)
-        check_keys(cfg, {"alpha", "beta", "gamma", "sigma_g", "levels", "eta",
-                         "sigma0", "solver", "tol", "max_iter"}, "flow")
-        kwargs = {}
-        for key, raw in cfg.items():
-            if key in ("levels", "max_iter"):
-                kwargs[key] = int(raw)
-            elif key == "solver":
-                kwargs[key] = raw
-            else:
-                kwargs[key] = float(raw)
-        return cls(**kwargs)
+        return cls(**read_config(path, "flow", cls))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_keys, parse_bool, read_kv_config
+from .config import read_config
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid
@@ -103,10 +103,10 @@ class InversionConfig:
     max_iter: int = 100
     acceleration: bool = True
     stepsize: str = "steepest"
-    omega: float = 1.0
+    omega: float = field(default=1.0, metadata={"config": False})
     boundary_mask: ScalarGrid | None = None
     stopping: str = "manual"
-    manual_k: int = 100
+    manual_k: int = field(default=100, metadata={"config": False})
 
     def __post_init__(self):
         if self.stepsize not in _STEPSIZES:
@@ -132,40 +132,25 @@ class InversionConfig:
         return LameField.constant(nx, ny, self.lambda0, self.mu0, spacing)
 
     @classmethod
-    def from_config(cls, path, mask: ScalarGrid | None = None) -> "InversionConfig":
-        cfg = read_kv_config(path)
-        check_keys(cfg, {"tau", "delta", "max_iter", "acceleration", "stepsize",
-                         "stopping", "mask_file", "lambda0", "mu0"}, "inversion")
-        kwargs = {}
-        if "tau" in cfg:
-            kwargs["tau"] = float(cfg["tau"])
-        if "delta" in cfg:
-            kwargs["delta"] = float(cfg["delta"])
-        if "max_iter" in cfg:
-            kwargs["max_iter"] = int(cfg["max_iter"])
-        if "acceleration" in cfg:
-            kwargs["acceleration"] = parse_bool(cfg["acceleration"])
-        if "lambda0" in cfg:
-            kwargs["lambda0"] = float(cfg["lambda0"])
-        if "mu0" in cfg:
-            kwargs["mu0"] = float(cfg["mu0"])
-        if "stepsize" in cfg:
-            raw = cfg["stepsize"].strip()
-            m = re.fullmatch(r"constant\(([^)]+)\)", raw)
-            if m:
-                kwargs["stepsize"] = "constant"
-                kwargs["omega"] = float(m.group(1))
-            else:
-                kwargs["stepsize"] = raw
-        if "stopping" in cfg:
-            raw = cfg["stopping"].strip()
-            m = re.fullmatch(r"manual\((\d+)\)", raw)
-            if m:
-                kwargs["stopping"] = "manual"
-                kwargs["manual_k"] = int(m.group(1))
-            else:
-                kwargs["stopping"] = raw
-        return cls(boundary_mask=mask, **kwargs)
+    def from_config(cls, path, read_mask=None) -> "InversionConfig":
+        """Settings from an inversion config.  `stepsize = constant(omega)`
+        and `stopping = manual(k)` also set `omega` and `manual_k`;
+        `read_mask` loads the grid that `mask_file` names (without it the
+        key is ignored)."""
+        cfg = read_config(path, "inversion", cls, {"mask_file": str})
+        mask_file = cfg.pop("mask_file", None)
+        m = re.fullmatch(r"constant\(([^)]+)\)", cfg.get("stepsize", ""))
+        if m:
+            try:
+                cfg["stepsize"], cfg["omega"] = "constant", float(m.group(1))
+            except ValueError:
+                raise FormatError(f"{path}: 'stepsize' must be constant(<float>), "
+                                  f"got '{m.group(0)}'") from None
+        m = re.fullmatch(r"manual\((\d+)\)", cfg.get("stopping", ""))
+        if m:
+            cfg["stopping"], cfg["manual_k"] = "manual", int(m.group(1))
+        mask = read_mask(mask_file) if read_mask and mask_file is not None else None
+        return cls(boundary_mask=mask, **cfg)
 
 
 @dataclass

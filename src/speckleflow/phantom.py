@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_keys, read_kv_config
+from .config import read_config
 from .elastic import BoundaryConditions, LameField, forward_solve
 from .errors import SpecError
 from .grids import ScalarGrid, VectorGrid, bilinear_sample
@@ -65,6 +65,9 @@ class PhantomSpec:
             raise SpecError("phantom grid must be at least 8x8")
         if self.bubble_count < 0:
             raise SpecError("bubble_count must be nonnegative")
+        if self.kind == "inclusion" and self.bubble_count == 0:
+            # the inclusion frames are rendered from the bubbles alone
+            raise SpecError("an inclusion phantom needs at least one bubble")
         if not 0 < self.bubble_sigma_min <= self.bubble_sigma_max:
             raise SpecError("bubble sigma range must be positive and ordered")
         if self.noise_rel < 0:
@@ -72,35 +75,20 @@ class PhantomSpec:
 
     @classmethod
     def from_config(cls, path) -> "PhantomSpec":
-        cfg = read_kv_config(path)
-        allowed = {"kind", "nx", "ny", "bubble_count", "bubble_sigma_min",
-                   "bubble_sigma_max", "seed", "noise_rel", "margin",
-                   "square_size", "square_shift", "square_intensity",
-                   "compression_px", "lambda_bg", "mu_bg", "lambda_inc",
-                   "mu_inc", "inclusion_cx", "inclusion_cy", "inclusion_radius"}
-        check_keys(cfg, allowed, "phantom")
-        kwargs = {}
-        ints = {"nx", "ny", "bubble_count", "seed", "margin", "square_size"}
-        floats = {"bubble_sigma_min", "bubble_sigma_max", "noise_rel",
-                  "square_shift", "square_intensity", "compression_px",
-                  "inclusion_radius"}
-        for key, raw in cfg.items():
-            if key == "kind":
-                kwargs["kind"] = raw
-            elif key in ints:
-                kwargs[key] = int(raw)
-            elif key in floats:
-                kwargs[key] = float(raw)
-        lb = float(cfg.get("lambda_bg", 490.0))
-        mb = float(cfg.get("mu_bg", 10.0))
-        li = float(cfg.get("lambda_inc", 490.0))
-        mi = float(cfg.get("mu_inc", 20.0))
-        kwargs["lame_background"] = (lb, mb)
-        kwargs["lame_inclusion"] = (li, mi)
-        if "inclusion_cx" in cfg or "inclusion_cy" in cfg:
-            kwargs["inclusion_center"] = (float(cfg["inclusion_cx"]),
-                                          float(cfg["inclusion_cy"]))
-        return cls(**kwargs)
+        """Spec from a phantom config.  The keys `lambda_bg`/`mu_bg`,
+        `lambda_inc`/`mu_inc` and `inclusion_cx`/`inclusion_cy` set the
+        tuple fields; a Lame value left out keeps its default, and the two
+        center coordinates must be given together."""
+        pair_keys = ("lambda_bg", "mu_bg", "lambda_inc", "mu_inc",
+                     "inclusion_cx", "inclusion_cy")
+        cfg = read_config(path, "phantom", cls, dict.fromkeys(pair_keys, float))
+        (lb, mb), (li, mi) = cls.lame_background, cls.lame_inclusion
+        cfg["lame_background"] = (cfg.pop("lambda_bg", lb), cfg.pop("mu_bg", mb))
+        cfg["lame_inclusion"] = (cfg.pop("lambda_inc", li), cfg.pop("mu_inc", mi))
+        center = tuple(cfg.pop(k) for k in ("inclusion_cx", "inclusion_cy") if k in cfg)
+        if len(center) == 1:
+            raise SpecError(f"{path}: inclusion_cx and inclusion_cy must be given together")
+        return cls(inclusion_center=center or None, **cfg)
 
 
 def _rng(spec: PhantomSpec) -> np.random.Generator:
@@ -260,10 +248,7 @@ def make_inclusion_phantom(spec: PhantomSpec):
 
     rng = _rng(spec)
     centers, sigmas = _place_bubbles(spec, rng)
-    if centers.size:
-        disps = bilinear_sample(u_true.data, centers[:, 0], centers[:, 1])
-    else:
-        disps = np.zeros((0, 2))
+    disps = bilinear_sample(u_true.data, centers[:, 0], centers[:, 1])
 
     raw1 = render_blobs(nx, ny, centers, sigmas)
     raw2 = render_blobs(nx, ny, centers + disps, sigmas)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .config import check_keys, read_kv_config
+from .config import read_config
 from .errors import ConstantField, DomainError, FitError, FormatError, ShapeMismatch
 from .grids import Volume, gaussian_filter, normalize_intensity
 
@@ -98,17 +98,6 @@ class MatchCriteria:
             raise DomainError("alpha_min must not exceed alpha_max")
         if self.volume_split < 0 or self.min_voxels < 0:
             raise DomainError("volume thresholds must be nonnegative")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "MatchCriteria":
-        fields = {"epsilon_small", "epsilon_large", "volume_split", "d_max",
-                  "phi_max", "alpha_min", "alpha_max", "min_voxels"}
-        kwargs = {}
-        for key, raw in cfg.items():
-            if key not in fields:
-                continue
-            kwargs[key] = int(raw) if key in ("volume_split", "min_voxels") else float(raw)
-        return cls(**kwargs)
 
 
 @dataclass
@@ -401,12 +390,8 @@ def read_samples_csv(path) -> list:
 def tracking_config(path):
     """Read a tracking config: MatchCriteria fields plus the pipeline's
     top_fraction and presmooth_sigma."""
-    cfg = read_kv_config(path)
-    allowed = {"epsilon_small", "epsilon_large", "volume_split", "d_max",
-               "phi_max", "alpha_min", "alpha_max", "min_voxels",
-               "top_fraction", "presmooth_sigma"}
-    check_keys(cfg, allowed, "tracking")
-    crit = MatchCriteria.from_config(cfg)
-    top_fraction = float(cfg.get("top_fraction", 0.01))
-    presmooth_sigma = float(cfg.get("presmooth_sigma", 0.9))
-    return crit, top_fraction, presmooth_sigma
+    cfg = read_config(path, "tracking", MatchCriteria,
+                      {"top_fraction": float, "presmooth_sigma": float})
+    top_fraction = cfg.pop("top_fraction", 0.01)
+    presmooth_sigma = cfg.pop("presmooth_sigma", 0.9)
+    return MatchCriteria(**cfg), top_fraction, presmooth_sigma

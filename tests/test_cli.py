@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from speckleflow.cli import main, read_lame_dir, read_pgm, write_pgm
 from speckleflow.grids import ScalarGrid, VectorGrid, read_f64grid, write_f64grid
@@ -74,12 +75,34 @@ class TestExitCodes:
         assert rc == 2
         assert "byte offset" in capsys.readouterr().err
 
-    def test_thread_env_validation(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPECKLEFLOW_THREADS", "soup")
-        u = VectorGrid.zeros(3, 3)
-        f = tmp_path / "u.f64grid"
-        write_f64grid(f, u)
-        assert main(["eval", "--est", str(f), "--truth", str(f)]) == 2
+    @pytest.mark.parametrize("command, text", [
+        ("synth", "kind = inclusion\ninclusion_cx = 20\n"),
+        ("track", "d_max = far\n"),
+        ("flow", "levels = five\n"),
+        ("flow", "F64GRID 1 1 1 1\n\xff\n"),
+        ("invert", "stepsize = constant(abc)\n"),
+    ], ids=["synth", "track", "flow", "flow-binary", "invert"])
+    def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
+                                               command, text):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(8, 8, np.eye(8)))
+        data = tmp_path / "u.f64grid"
+        write_f64grid(data, VectorGrid.zeros(8, 8))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet bottom both 0\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text.encode("latin-1"))
+        out = str(tmp_path / "out")
+        argv = {
+            "synth": ["--spec", str(cfg)],
+            "track": ["--a", str(image), "--b", str(image), "--config", str(cfg)],
+            "flow": ["--i1", str(image), "--i2", str(image), "--config", str(cfg)],
+            "invert": ["--data", str(data), "--bc", str(bc), "--config", str(cfg)],
+        }[command]
+        assert main([command, *argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err
+        assert "Traceback" not in err
 
 
 class TestSynth:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speckleflow.elastic import LameField, MU_FLOOR
-from speckleflow.errors import DomainError, ShapeMismatch
+from speckleflow.errors import DomainError, FormatError, ShapeMismatch
 from speckleflow.grids import VectorGrid
 from speckleflow.invert import (InversionConfig, IterationTrace,
                                 boundary_band_mask, field_error, landweber_step,
@@ -218,6 +218,21 @@ class TestConfigAndTrace:
         assert cfg.stepsize == "constant" and cfg.omega == 2.5
         assert cfg.stopping == "manual" and cfg.manual_k == 12
         assert cfg.acceleration is True
+
+    def test_mask_file_loaded_by_reader(self, tmp_path):
+        path = tmp_path / "inv.cfg"
+        path.write_text("mask_file = m.f64grid\n")
+        mask = boundary_band_mask(6, 6, 1)
+        cfg = InversionConfig.from_config(path, read_mask={"m.f64grid": mask}.get)
+        assert cfg.boundary_mask is mask
+        assert InversionConfig.from_config(path).boundary_mask is None
+
+    @pytest.mark.parametrize("line", ["omega = 2", "manual_k = 3"])
+    def test_derived_fields_are_not_keys(self, tmp_path, line):
+        path = tmp_path / "inv.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(FormatError):
+            InversionConfig.from_config(path)
 
     def test_invalid_stepsize_rejected(self):
         with pytest.raises(DomainError):

@@ -185,3 +185,7 @@ class TestPhantomConfig:
     def test_bad_kind(self):
         with pytest.raises(SpecError):
             PhantomSpec(kind="cube")
+
+    def test_inclusion_without_bubbles_rejected(self):
+        with pytest.raises(SpecError):
+            PhantomSpec(kind="inclusion", bubble_count=0)

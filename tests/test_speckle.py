@@ -10,7 +10,7 @@ from speckleflow.speckle import (Bubble, CylinderGeometry, DisplacementSample,
                                  connected_components, extract_bubbles,
                                  fit_circle, match_bubbles,
                                  read_samples_csv, run_tracking,
-                                 write_samples_csv)
+                                 tracking_config, write_samples_csv)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -382,3 +382,18 @@ class TestSamplesCSV:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(FormatError):
             read_samples_csv(path)
+
+
+class TestTrackingConfig:
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "track.cfg"
+        path.write_text("d_max = 8\nvolume_split = 100\ntop_fraction = 0.08\n")
+        crit, top_fraction, presmooth_sigma = tracking_config(path)
+        assert crit == MatchCriteria(d_max=8.0, volume_split=100)
+        assert (top_fraction, presmooth_sigma) == (0.08, 0.9)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "track.cfg"
+        path.write_text("d_max = 8\nbogus = 1\n")
+        with pytest.raises(FormatError):
+            tracking_config(path)
