@@ -8,8 +8,9 @@ displacement field from the image pair plus the matched bubble vectors
 modulus by iterative inversion of a linearized-elasticity forward model
 (:mod:`speckleflow.elastic`, :mod:`speckleflow.invert`).  Synthetic test
 problems live in :mod:`speckleflow.phantom`, file formats and grid
-containers in :mod:`speckleflow.grids`, and the command-line interface in
-:mod:`speckleflow.cli`.
+containers in :mod:`speckleflow.grids`, the sparse factorization shared by
+flow and elasticity in :mod:`speckleflow.linsolve`, and the command-line
+interface in :mod:`speckleflow.cli`.
 """
 
 from . import errors

@@ -8,6 +8,7 @@ schemas passed in: a dataclass contributes its `int`, `float`, `str` and
 and a `{key: type}` dict adds keys that are not fields.  Booleans are
 written 1/true/yes/on or 0/false/no/off.  An unknown key, a duplicate key or
 a value that does not convert raises `FormatError` naming the file and line.
+`read_text` is the UTF-8 check shared with the package's other text readers.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ def _schema_types(schema) -> dict:
     return {name: typ for name, typ in types if typ is not None}
 
 
+def read_text(path) -> str:
+    """Contents of the UTF-8 text file at `path`; `FormatError` otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 text file") from None
+
+
 def read_config(path, what: str, *schemas) -> dict:
     """Typed values of the keys present in the config at `path`.
 
@@ -38,11 +48,7 @@ def read_config(path, what: str, *schemas) -> dict:
     types = {}
     for schema in schemas:
         types.update(_schema_types(schema))
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().split("\n")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a UTF-8 text file") from None
+    lines = read_text(path).split("\n")
     out = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()

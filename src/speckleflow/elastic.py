@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .config import read_text
 from .errors import DivisionByZero, DomainError, FormatError, ShapeMismatch, SingularSystem
 from .grids import ScalarGrid, VectorGrid
+from .linsolve import GridFactor, grid_order
 
 __all__ = [
     "LameField",
@@ -200,6 +201,7 @@ class ElasticModel:
         self.lift = lift
         self.fixed = fixed
         self.free = ~fixed
+        self.order = grid_order(self.nx, self.ny, self.free)
 
     def _build_load(self):
         load = np.zeros(2 * self.n_nodes)
@@ -256,7 +258,7 @@ class ElasticModel:
         K = self.assemble(p)
         K_ff = K[self.free][:, self.free]
         try:
-            lu = spla.splu(K_ff)
+            lu = GridFactor(K_ff, self.order)
         except RuntimeError as exc:
             raise SingularSystem(f"stiffness factorization failed: {exc}")
         return ElasticFactors(self, p, K, K_ff, lu)
@@ -388,26 +390,25 @@ def read_bc_config(path) -> BoundaryConditions:
     `traction <side> <tx> <ty>`."""
     dirichlet = []
     traction = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if parts[0] == "dirichlet" and len(parts) == 4:
-                try:
-                    value = float(parts[3])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad Dirichlet value")
-                dirichlet.append((parts[1], parts[2], value))
-            elif parts[0] == "traction" and len(parts) == 4:
-                try:
-                    tx, ty = float(parts[2]), float(parts[3])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad traction value")
-                traction.append((parts[1], (tx, ty)))
-            else:
-                raise FormatError(f"{path}:{lineno}: unrecognized boundary line")
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if parts[0] == "dirichlet" and len(parts) == 4:
+            try:
+                value = float(parts[3])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad Dirichlet value")
+            dirichlet.append((parts[1], parts[2], value))
+        elif parts[0] == "traction" and len(parts) == 4:
+            try:
+                tx, ty = float(parts[2]), float(parts[3])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad traction value")
+            traction.append((parts[1], (tx, ty)))
+        else:
+            raise FormatError(f"{path}:{lineno}: unrecognized boundary line")
     return BoundaryConditions(dirichlet=dirichlet, traction=traction)
 
 

@@ -32,6 +32,7 @@ from .config import read_config
 from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
 from .grids import (ScalarGrid, VectorGrid, bilinear_sample, downsample,
                     prolong, temporal_difference)
+from .linsolve import GridFactor, grid_order
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -263,12 +264,15 @@ def _solve_system(sys: FlowSystem, p: FlowParams, init: np.ndarray | None = None
     n = sys.rhs.size
     if p.solver == "direct":
         try:
-            lu = spla.splu(sys.matrix.tocsc())
-            x = lu.solve(sys.rhs)
+            x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
         except RuntimeError as exc:
             raise NotSPD(f"sparse factorization failed: {exc}")
         if not np.all(np.isfinite(x)):
             raise NotSPD("sparse factorization produced non-finite values")
+        rnorm = np.linalg.norm(sys.matrix @ x - sys.rhs)
+        scale = np.linalg.norm(sys.rhs)
+        if rnorm > 1e-10 * scale:
+            raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
         return x
     max_iter = p.max_iter if p.max_iter > 0 else 10 * n
     if p.solver == "cg":

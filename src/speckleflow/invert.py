@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import read_config
+from .config import read_config, read_text
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid
@@ -395,8 +395,7 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
 
 
 def read_trace_csv(path) -> IterationTrace:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != _TRACE_HEADER:
         raise FormatError(f"{path}: expected header '{_TRACE_HEADER}'")
     trace = IterationTrace()

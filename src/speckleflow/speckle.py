@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .config import read_config
+from .config import read_config, read_text
 from .errors import ConstantField, DomainError, FitError, FormatError, ShapeMismatch
 from .grids import Volume, gaussian_filter, normalize_intensity
 
@@ -367,8 +367,7 @@ def write_samples_csv(path, samples) -> None:
 
 
 def read_samples_csv(path) -> list:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise FormatError(f"{path}: expected header '{_CSV_HEADER}'")
     samples = []

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from speckleflow.cli import main, read_lame_dir, read_pgm, write_pgm
+from speckleflow.cli import main, read_lame_dir, read_pgm, write_lame_dir, write_pgm
+from speckleflow.elastic import LameField
 from speckleflow.grids import ScalarGrid, VectorGrid, read_f64grid, write_f64grid
 from speckleflow.invert import read_trace_csv
 from speckleflow.speckle import read_samples_csv
@@ -103,6 +104,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["forward", "invert", "flow"])
+    def test_binary_text_input_is_runtime_error(self, tmp_path, capsys, command):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(8, 8, np.eye(8)))
+        data = tmp_path / "u.f64grid"
+        write_f64grid(data, VectorGrid.zeros(8, 8))
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(8, 8, 1.0, 1.0))
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"\xff\xfe\x00\x81 dirichlet\n")
+        argv = {
+            "forward": ["--lame", str(lame), "--bc", str(binary)],
+            "invert": ["--data", str(data), "--bc", str(binary), "--config", str(cfg)],
+            "flow": ["--i1", str(image), "--i2", str(image), "--samples", str(binary),
+                     "--config", str(cfg)],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {binary}: not a UTF-8 text file")
+        assert "Traceback" not in err
+
+    def test_underconstrained_forward_is_runtime_error(self, tmp_path, capsys):
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(12, 10, 1.0, 1.0))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet left ux 0\ntraction top 0.3 -1\n")
+        out = tmp_path / "u.f64grid"
+        assert main(["forward", "--lame", str(lame), "--bc", str(bc),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSynth:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from speckleflow.errors import DomainError, GridTooSmall, NotConverged, ShapeMismatch
+from speckleflow.errors import (DomainError, GridTooSmall, NotConverged, NotSPD,
+                               ShapeMismatch)
 from speckleflow.flow import (FlowParams, assemble, evaluate_functional,
                               gaussian_weight, gradient, gradient_descent_flow,
                               multiscale_flow, solve_flow)
@@ -192,6 +193,14 @@ class TestSolvers:
         u = solve_flow(assemble(grad, it, s, p), p)
         np.testing.assert_allclose(u.data[2:-2, 2:-2, 0], d, atol=1e-6)
         np.testing.assert_allclose(u.data[2:-2, 2:-2, 1], 0.0, atol=1e-6)
+
+    def test_flat_frames_without_smoothing_not_spd(self):
+        # no image gradient, no smoothness and no samples: the matrix is zero
+        flat = ScalarGrid(10, 10, np.full((10, 10), 0.5))
+        p = FlowParams(alpha=0.0, beta=1.0)
+        sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), [], p)
+        with pytest.raises(NotSPD):
+            solve_flow(sys, p)
 
     def test_cg_agrees_with_direct(self):
         grad, it, samples, _ = random_instance(1, nx=12, ny=12)

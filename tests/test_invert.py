@@ -254,6 +254,12 @@ class TestConfigAndTrace:
         assert back.residuals == t.residuals
         assert back.stepsizes == t.stepsizes
 
+    def test_trace_csv_not_utf8(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"k,residual,stepsize,heuristic\n0,\xff,1,1\n")
+        with pytest.raises(FormatError, match="not a UTF-8 text file"):
+            read_trace_csv(path)
+
     def test_printed_stepsize_variant_runs(self):
         lame, bc, u_true, *_ = small_phantom(8, n=16)
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, stepsize="printed",
