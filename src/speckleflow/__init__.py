@@ -17,8 +17,7 @@ from . import errors
 from .elastic import (BoundaryConditions, LameField, forward_solve,
                       frechet_adjoint, frechet_apply, young_modulus)
 from .flow import (FlowParams, FlowSystem, assemble, evaluate_functional,
-                   gaussian_weight, gradient, gradient_descent_flow,
-                   multiscale_flow, solve_flow)
+                   gaussian_weight, gradient, multiscale_flow, solve_flow)
 from .grids import (ScalarGrid, VectorGrid, Volume, downsample,
                     gaussian_filter, normalize_intensity, prolong,
                     pyramid_sigma, read_f64grid, spatial_gradient,

@@ -4,7 +4,8 @@ Subcommands compose the pipeline: `synth` (phantom generation), `track`
 (bubble tracking), `flow` (displacement estimation), `forward` (elasticity
 solve), `invert` (parameter reconstruction), `eval` (field comparison) and
 `render` (PGM/quiver export).  Exit codes: 0 success, 1 usage error, 2
-runtime error (missing files, malformed formats, solver failures).
+runtime error (missing or unreadable files, malformed formats, solver
+failures).
 
 Lame fields on disk are directories holding `lambda.f64grid` and
 `mu.f64grid`.
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except SpeckleFlowError as exc:
+    except (OSError, SpeckleFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

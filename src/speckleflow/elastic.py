@@ -198,6 +198,17 @@ class ElasticModel:
                 fixed[2 * nodes + comp] = True
         if not fixed.any():
             raise DomainError("Dirichlet boundary is empty")
+        # with mu > 0 the stiffness is singular on the free DOFs exactly when
+        # a rigid motion (x or y translation, rotation (-y, x)) leaves every
+        # fixed DOF at rest
+        ys, xs = np.divmod(np.arange(self.n_nodes), self.nx)
+        rigid = np.zeros((2 * self.n_nodes, 3))
+        rigid[0::2, 0] = 1.0
+        rigid[1::2, 1] = 1.0
+        rigid[0::2, 2] = -ys
+        rigid[1::2, 2] = xs
+        if np.linalg.matrix_rank(rigid[fixed]) < 3:
+            raise SingularSystem("Dirichlet boundary leaves a rigid motion free")
         self.lift = lift
         self.fixed = fixed
         self.free = ~fixed

@@ -30,8 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .config import read_config
 from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
-from .grids import (ScalarGrid, VectorGrid, bilinear_sample, downsample,
-                    prolong, temporal_difference)
+from .grids import ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong
 from .linsolve import GridFactor, grid_order
 from .speckle import DisplacementSample
 
@@ -43,7 +42,6 @@ __all__ = [
     "assemble",
     "solve_flow",
     "gradient",
-    "gradient_descent_flow",
     "multiscale_flow",
 ]
 
@@ -51,7 +49,7 @@ __all__ = [
 # bubble term's scaling guarantees break down
 MIN_SIGMA_G = 1.0 / math.sqrt(2.0 * math.pi)
 
-_SOLVERS = ("direct", "cg", "gradient_descent")
+_SOLVERS = ("direct", "cg")
 
 
 @dataclass
@@ -260,8 +258,7 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
     return FlowSystem(matrix=A, rhs=y, nx=nx, ny=ny, constant=constant)
 
 
-def _solve_system(sys: FlowSystem, p: FlowParams, init: np.ndarray | None = None) -> np.ndarray:
-    n = sys.rhs.size
+def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
     if p.solver == "direct":
         try:
             x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
@@ -274,43 +271,14 @@ def _solve_system(sys: FlowSystem, p: FlowParams, init: np.ndarray | None = None
         if rnorm > 1e-10 * scale:
             raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
         return x
-    max_iter = p.max_iter if p.max_iter > 0 else 10 * n
-    if p.solver == "cg":
-        x, info = spla.cg(sys.matrix, sys.rhs, x0=init, rtol=p.tol, atol=0.0,
-                          maxiter=max_iter)
-        if info > 0:
-            res = float(np.linalg.norm(sys.matrix @ x - sys.rhs))
-            raise NotConverged(f"cg hit the iteration cap ({max_iter})", residual=res)
-        if info < 0:
-            raise NotSPD("cg reported an invalid system")
-        return x
-    return _gradient_descent(sys, p, init, max_iter)
-
-
-def _gradient_descent(sys: FlowSystem, p: FlowParams, init, max_iter,
-                      callback=None) -> np.ndarray:
-    A, y = sys.matrix, sys.rhs
-    u = np.zeros_like(y) if init is None else np.array(init, dtype=np.float64)
-    ynorm = np.linalg.norm(y)
-    stop = p.tol * ynorm if ynorm > 0 else p.tol
-    for _ in range(max_iter):
-        r = A @ u - y
-        rnorm = np.linalg.norm(r)
-        if callback is not None:
-            callback(u.copy(), rnorm)
-        if rnorm <= stop:
-            return u
-        rAr = float(r @ (A @ r))
-        if rAr <= 0:
-            raise NotSPD("descent direction has nonpositive curvature")
-        u = u - (rnorm * rnorm / rAr) * r
-    r = A @ u - y
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= stop:
-        return u
-    raise NotConverged(
-        f"gradient descent did not reach tol within {max_iter} iterations",
-        residual=rnorm)
+    max_iter = p.max_iter if p.max_iter > 0 else 10 * sys.rhs.size
+    x, info = spla.cg(sys.matrix, sys.rhs, rtol=p.tol, atol=0.0, maxiter=max_iter)
+    if info > 0:
+        res = float(np.linalg.norm(sys.matrix @ x - sys.rhs))
+        raise NotConverged(f"cg hit the iteration cap ({max_iter})", residual=res)
+    if info < 0:
+        raise NotSPD("cg reported an invalid system")
+    return x
 
 
 def solve_flow(sys: FlowSystem, p: FlowParams) -> VectorGrid:
@@ -327,20 +295,6 @@ def gradient(u: VectorGrid, gradI: VectorGrid, It: ScalarGrid, samples,
     sys = assemble(gradI, It, samples, p)
     g = sys.matrix @ u.data.ravel() - sys.rhs
     return VectorGrid(u.nx, u.ny, g.reshape(u.ny, u.nx, 2))
-
-
-def gradient_descent_flow(init: VectorGrid, gradI: VectorGrid, It: ScalarGrid,
-                          samples, p: FlowParams, callback=None) -> VectorGrid:
-    """Minimize the functional by steepest descent with exact line search.
-
-    The step length ||r||^2 / (r'Ar) is optimal for the quadratic, so the
-    functional decreases monotonically.  Raises NotConverged if the
-    iteration cap is reached before the relative-residual tolerance.
-    """
-    sys = assemble(gradI, It, samples, p)
-    max_iter = p.max_iter if p.max_iter > 0 else 10 * sys.rhs.size
-    x = _gradient_descent(sys, p, init.data.ravel(), max_iter, callback=callback)
-    return VectorGrid(init.nx, init.ny, x.reshape(init.ny, init.nx, 2))
 
 
 def _scaled_samples(samples, factor):
@@ -361,10 +315,10 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
     """Coarse-to-fine flow estimation.
 
     Image pyramids are built by repeated smoothing/downsampling; sample
-    positions and displacements shrink by eta per level.  The coarsest
-    level is solved outright; on each finer level the prolonged estimate
-    linearizes the data term (the second frame is warped by it) and the
-    level's system is solved for the correction, which is added.  With
+    positions and displacements shrink by eta per level.  Every level starts
+    from an estimate (zero on the coarsest, the prolonged coarser result
+    otherwise), linearizes the data term there (the second frame is warped
+    by it), solves the level's system for the correction and adds it.  With
     levels = 1 this is exactly the single-scale solve.
     """
     if (i1.nx, i1.ny) != (i2.nx, i2.ny):
@@ -375,32 +329,26 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         levels.append((downsample(a, p.eta, p.sigma0),
                        downsample(b, p.eta, p.sigma0)))
 
-    u = None
+    top = levels[-1][0]
+    u = VectorGrid.zeros(top.nx, top.ny)
     for s in range(p.levels - 1, -1, -1):
         a, b = levels[s]
+        if s < p.levels - 1:
+            u = prolong(u, a.nx, a.ny, 1.0 / p.eta)
+        up = u.data
         grad_a = _pixel_gradient(a)
-        lvl_samples = _scaled_samples(samples, p.eta ** s)
-        if u is None:
-            sys = assemble(grad_a, temporal_difference(a, b), lvl_samples, p)
-            u = _solve_system(sys, p)
-            shape = (a.ny, a.nx)
-        else:
-            coarse = VectorGrid(shape[1], shape[0], u.reshape(shape[0], shape[1], 2))
-            up = prolong(coarse, a.nx, a.ny, 1.0 / p.eta).data
-            warped = _warp(b.data, up)
-            # temporal term re-centered at the prolonged estimate
-            it_eff = (warped - a.data) - (grad_a.data[:, :, 0] * up[:, :, 0]
-                                          + grad_a.data[:, :, 1] * up[:, :, 1])
-            sys = assemble(grad_a, ScalarGrid(a.nx, a.ny, it_eff), lvl_samples, p)
-            up_flat = up.ravel()
-            corr_sys = FlowSystem(matrix=sys.matrix,
-                                  rhs=sys.rhs - sys.matrix @ up_flat,
-                                  nx=a.nx, ny=a.ny)
-            h = _solve_system(corr_sys, p)
-            u = up_flat + h
-            shape = (a.ny, a.nx)
-
-    return VectorGrid(i1.nx, i1.ny, u.reshape(i1.ny, i1.nx, 2))
+        warped = _warp(b.data, up)
+        # temporal term re-centered at the estimate
+        it_eff = (warped - a.data) - (grad_a.data[:, :, 0] * up[:, :, 0]
+                                      + grad_a.data[:, :, 1] * up[:, :, 1])
+        sys = assemble(grad_a, ScalarGrid(a.nx, a.ny, it_eff),
+                       _scaled_samples(samples, p.eta ** s), p)
+        up_flat = up.ravel()
+        corr_sys = FlowSystem(matrix=sys.matrix,
+                              rhs=sys.rhs - sys.matrix @ up_flat,
+                              nx=a.nx, ny=a.ny)
+        u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys, p))
+    return u
 
 
 def _pixel_gradient(g: ScalarGrid) -> VectorGrid:

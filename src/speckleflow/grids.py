@@ -339,7 +339,7 @@ def read_f64grid(path):
         ncomp, nx, ny, nz = (int(p) for p in parts[1:])
     except ValueError:
         raise FormatError("non-integer extent in header", offset=len(_MAGIC) + 1)
-    if ncomp not in (1, 2) or min(nx, ny, nz) < 1:
+    if ncomp not in (1, 2) or min(nx, ny, nz) < 1 or (ncomp == 2 and nz != 1):
         raise FormatError("inadmissible extents in header", offset=len(_MAGIC) + 1)
     start = nl + 1
     count = ncomp * nx * ny * nz

@@ -243,15 +243,21 @@ def _stepsize(cfg: InversionConfig, factors, u, r_data, s_lam, s_mu, h: float):
     return s_sq / fs_sq
 
 
-def _one_step(model: ElasticModel, cfg: InversionConfig, lam, mu, udelta_data, h):
-    """Forward solve, masked gradient, stepsize and projected update at the
-    point (lam, mu).  Returns (new_lam, new_mu, stepsize, residual_norm)."""
+def _evaluate(model: ElasticModel, point, udelta_data, h):
+    """Factorize at point = (lam, mu) and solve forward.  Returns
+    (factors, u, r) with r = u - udelta the data residual."""
+    lam, mu = point
     p = LameField(ScalarGrid(model.nx, model.ny, lam, h),
                   ScalarGrid(model.nx, model.ny, mu, h))
     factors = model.factorize(p)
     u = factors.solve_forward()
-    r = u.data - udelta_data
-    rnorm = field_norm(r, h)
+    return factors, u, u.data - udelta_data
+
+
+def _step(model: ElasticModel, cfg: InversionConfig, point, factors, u, r, h):
+    """Masked gradient, stepsize and projected update from a point evaluated
+    by :func:`_evaluate`.  Returns (new point, stepsize)."""
+    lam, mu = point
     g_lam, g_mu = factors.derivative_adjoint(
         u, VectorGrid(model.nx, model.ny, r, h))
     mask = None if cfg.boundary_mask is None else cfg.boundary_mask.data
@@ -259,9 +265,8 @@ def _one_step(model: ElasticModel, cfg: InversionConfig, lam, mu, udelta_data, h
     s_mu = _masked(g_mu.data, mask)
     omega = _stepsize(cfg, factors, u, r, s_lam, s_mu, h)
     if omega == 0.0:
-        return lam, mu, 0.0, rnorm
-    new_lam, new_mu = _project(lam - omega * s_lam, mu - omega * s_mu)
-    return new_lam, new_mu, omega, rnorm
+        return point, 0.0
+    return _project(lam - omega * s_lam, mu - omega * s_mu), omega
 
 
 def landweber_step(p: LameField, udelta: VectorGrid, bc: BoundaryConditions,
@@ -274,11 +279,23 @@ def landweber_step(p: LameField, udelta: VectorGrid, bc: BoundaryConditions,
     """
     h = p.lam.spacing
     model = ElasticModel(p.lam.nx, p.lam.ny, bc, h)
-    lam, mu, omega, rnorm = _one_step(model, cfg, p.lam.data, p.mu.data,
-                                      udelta.data, h)
+    point = (p.lam.data, p.mu.data)
+    factors, u, r = _evaluate(model, point, udelta.data, h)
+    (lam, mu), omega = _step(model, cfg, point, factors, u, r, h)
     out = LameField(ScalarGrid(model.nx, model.ny, lam, h),
                     ScalarGrid(model.nx, model.ny, mu, h))
-    return out, omega, rnorm
+    return out, omega, field_norm(r, h)
+
+
+def _kept_k(stopping: str, trace: IterationTrace) -> int:
+    """Iterate a run returns when no discrepancy stop comes first: the last
+    one for manual stopping, the heuristic argmin for heuristic stopping,
+    else the smallest residual (earliest on ties)."""
+    if stopping == "manual":
+        return trace.ks[-1]
+    if stopping == "heuristic":
+        return stop_heuristic(trace)
+    return int(np.argmin(trace.residuals))
 
 
 def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
@@ -304,76 +321,39 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
         raise ShapeMismatch("boundary mask extents differ from the data grid")
 
     trace = IterationTrace()
-    udelta_data = udelta.data
-    prev_lam = cur_lam = initial.lam.data.copy()
-    prev_mu = cur_mu = initial.mu.data.copy()
+    prev = cur = kept = (initial.lam.data.copy(), initial.mu.data.copy())
+    n_steps = min(cfg.manual_k if cfg.stopping == "manual" else cfg.max_iter,
+                  cfg.max_iter)
 
-    n_steps = cfg.manual_k if cfg.stopping == "manual" else cfg.max_iter
-    n_steps = min(n_steps, cfg.max_iter)
+    # each `del factors` drops a factorization before the next one is built,
+    # so at most one is held at a time
+    for k in range(n_steps + 1):
+        factors, u, r = _evaluate(model, cur, udelta.data, h)
+        rnorm = field_norm(r, h)
+        new, omega = cur, math.nan
+        if k < n_steps:
+            alpha = nesterov_alpha(k + 1) if cfg.acceleration else 0.0
+            bar = cur
+            if alpha != 0.0:
+                del factors
+                bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
+                               cur[1] + alpha * (cur[1] - prev[1]))
+                factors, u, r = _evaluate(model, bar, udelta.data, h)
+            new, omega = _step(model, cfg, bar, factors, u, r, h)
+        del factors
 
-    best_res = math.inf
-    best = (cur_lam, cur_mu, 0)
-    best_heur = math.inf
-    best_h = (cur_lam, cur_mu, 0)
-
-    def bookkeep(k, rnorm, lam, mu):
-        nonlocal best_res, best, best_heur, best_h
-        if rnorm < best_res:
-            best_res = rnorm
-            best = (lam, mu, k)
-        hval = math.sqrt(k) * rnorm if k >= 1 else math.inf
-        if hval < best_heur:
-            best_heur = hval
-            best_h = (lam, mu, k)
-
-    stopped = None
-    for step in range(1, n_steps + 1):
-        alpha = nesterov_alpha(step) if cfg.acceleration else 0.0
-        if alpha == 0.0:
-            bar_lam, bar_mu = cur_lam, cur_mu
-        else:
-            bar_lam, bar_mu = _project(cur_lam + alpha * (cur_lam - prev_lam),
-                                       cur_mu + alpha * (cur_mu - prev_mu))
-
-        new_lam, new_mu, omega, r_bar = _one_step(model, cfg, bar_lam, bar_mu,
-                                                  udelta_data, h)
-        if alpha == 0.0:
-            r_cur = r_bar
-        else:
-            p_cur = LameField(ScalarGrid(nx, ny, cur_lam, h),
-                              ScalarGrid(nx, ny, cur_mu, h))
-            u_cur = model.factorize(p_cur).solve_forward()
-            r_cur = field_norm(u_cur.data - udelta_data, h)
-
-        k = step - 1
-        trace.append(k, r_cur, omega)
-        bookkeep(k, r_cur, cur_lam, cur_mu)
-
-        if cfg.stopping == "discrepancy" and r_cur <= cfg.tau * cfg.delta:
-            stopped = ("discrepancy", k, (cur_lam, cur_mu))
+        trace.append(k, rnorm, omega)
+        if _kept_k(cfg.stopping, trace) == k:
+            kept = cur
+        if cfg.stopping == "discrepancy" and rnorm <= cfg.tau * cfg.delta:
+            trace.stopped_by, trace.k_star, kept = "discrepancy", k, cur
             break
-        prev_lam, prev_mu = cur_lam, cur_mu
-        cur_lam, cur_mu = new_lam, new_mu
+        prev, cur = cur, new
+    else:
+        trace.stopped_by = "max_iter" if cfg.stopping == "discrepancy" else cfg.stopping
+        trace.k_star = _kept_k(cfg.stopping, trace)
 
-    if stopped is None:
-        # final iterate's residual
-        p_fin = LameField(ScalarGrid(nx, ny, cur_lam, h),
-                          ScalarGrid(nx, ny, cur_mu, h))
-        u_fin = model.factorize(p_fin).solve_forward()
-        r_fin = field_norm(u_fin.data - udelta_data, h)
-        k = len(trace)
-        trace.append(k, r_fin, math.nan)
-        bookkeep(k, r_fin, cur_lam, cur_mu)
-        if cfg.stopping == "discrepancy" and r_fin <= cfg.tau * cfg.delta:
-            stopped = ("discrepancy", k, (cur_lam, cur_mu))
-        elif cfg.stopping == "manual":
-            stopped = ("manual", k, (cur_lam, cur_mu))
-        elif cfg.stopping == "heuristic":
-            stopped = ("heuristic", best_h[2], (best_h[0], best_h[1]))
-        else:
-            stopped = ("max_iter", best[2], (best[0], best[1]))
-
-    trace.stopped_by, trace.k_star, (lam, mu) = stopped
+    lam, mu = kept
     result = LameField(ScalarGrid(nx, ny, lam.copy(), h),
                        ScalarGrid(nx, ny, mu.copy(), h))
     return result, trace

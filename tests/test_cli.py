@@ -62,6 +62,19 @@ class TestExitCodes:
         assert rc == 2
         assert "missing file" in capsys.readouterr().err
 
+    def test_unreadable_path_is_runtime_error(self, tmp_path, capsys):
+        rc = main(["render", "--in", str(tmp_path), "--out", str(tmp_path / "r.pgm")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_vector_volume_f64grid_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.f64grid"
+        bad.write_bytes(b"F64GRID 2 3 3 2\n" + b"\x00" * (8 * 36))
+        for argv in (["render", "--in", str(bad), "--out", str(tmp_path / "r.pgm")],
+                     ["eval", "--est", str(bad), "--truth", str(bad)]):
+            assert main(argv) == 2
+            assert "inadmissible extents" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["eval", "--bogus", "x"]) == 1
         assert "usage error" in capsys.readouterr().err

@@ -150,6 +150,32 @@ class TestForwardSolve:
         with pytest.raises(SingularSystem):
             forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
 
+    @pytest.mark.parametrize("dirichlet", [
+        [("left", "ux", 0.0)],
+        [("bottom", "uy", 0.0)],
+        # rotation about the bottom-left corner moves neither held component
+        [("bottom", "ux", 0.0), ("left", "uy", 0.0)],
+    ], ids=["left-ux", "bottom-uy", "corner-rotation"])
+    def test_rigid_motion_free_bc_is_singular_for_linearization(self, dirichlet):
+        bc = BoundaryConditions(dirichlet=dirichlet, traction=[("top", (0.3, -1.0))])
+        p = LameField.constant(12, 10, 1.0, 1.0)
+        d = ScalarGrid(12, 10, np.ones((10, 12)))
+        w = VectorGrid(12, 10, np.ones((10, 12, 2)))
+        with pytest.raises(SingularSystem):
+            frechet_apply(p, w, d, d, bc)
+        with pytest.raises(SingularSystem):
+            frechet_adjoint(p, w, w, bc)
+
+    @pytest.mark.parametrize("dirichlet", [
+        [("left", "both", 0.0)],
+        [("bottom", "uy", 0.0), ("left", "ux", 0.0)],
+        [("bottom", "ux", 0.0), ("top", "ux", 1.0), ("left", "uy", 0.0)],
+    ], ids=["cantilever", "roller-pair", "shear"])
+    def test_bc_fixing_every_rigid_motion_accepted(self, dirichlet):
+        bc = BoundaryConditions(dirichlet=dirichlet, traction=[("right", (0.3, -1.0))])
+        u = forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
+        assert np.all(np.isfinite(u.data))
+
     def test_dirichlet_and_traction_same_side_rejected(self):
         with pytest.raises(DomainError):
             BoundaryConditions(dirichlet=[("top", "both", 0.0)],

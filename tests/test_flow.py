@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from speckleflow.errors import (DomainError, GridTooSmall, NotConverged, NotSPD,
                                ShapeMismatch)
 from speckleflow.flow import (FlowParams, assemble, evaluate_functional,
-                              gaussian_weight, gradient, gradient_descent_flow,
-                              multiscale_flow, solve_flow)
+                              gaussian_weight, gradient, multiscale_flow,
+                              solve_flow)
 from speckleflow.grids import ScalarGrid, VectorGrid, spatial_gradient, temporal_difference
 from speckleflow.speckle import DisplacementSample
 
@@ -274,39 +275,6 @@ class TestGradient:
             assert fd == pytest.approx(inner, rel=1e-5)
 
 
-class TestGradientDescent:
-    def test_monotone_decrease(self):
-        grad, it, samples, _ = random_instance(7)
-        p = FlowParams(alpha=0.5, beta=1.0, sigma_g=2.0,
-                       solver="gradient_descent", tol=1e-6, max_iter=5000)
-        values = []
-        gradient_descent_flow(VectorGrid.zeros(8, 8), grad, it, samples, p,
-                              callback=lambda u, r: values.append(
-                                  evaluate_functional(VectorGrid(8, 8, u.reshape(8, 8, 2)),
-                                                      grad, it, samples, p)))
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_converges_to_direct(self):
-        grad, it, samples, _ = random_instance(8, nx=16, ny=16)
-        pd = FlowParams(alpha=0.5, beta=1.0, sigma_g=2.0)
-        u_direct = solve_flow(assemble(grad, it, samples, pd), pd)
-        pg = FlowParams(alpha=0.5, beta=1.0, sigma_g=2.0,
-                        solver="gradient_descent", tol=1e-9, max_iter=200000)
-        u_gd = gradient_descent_flow(VectorGrid.zeros(16, 16), grad, it, samples, pg)
-        np.testing.assert_allclose(u_gd.data, u_direct.data, atol=1e-4)
-
-    def test_zero_rhs_stays_zero(self):
-        nx = ny = 8
-        grad = VectorGrid.zeros(nx, ny)
-        it = ScalarGrid(nx, ny, np.zeros((ny, nx)))
-        s = [DisplacementSample(position=np.array([4.0, 4.0]),
-                                displacement=np.array([0.0, 0.0]))]
-        p = FlowParams(alpha=0.3, beta=1.0, sigma_g=2.0,
-                       solver="gradient_descent", max_iter=50)
-        u = gradient_descent_flow(VectorGrid.zeros(nx, ny), grad, it, s, p)
-        np.testing.assert_array_equal(u.data, 0.0)
-
-
 class TestMultiscale:
     def test_levels_one_is_single_scale(self):
         rng = np.random.default_rng(9)
@@ -347,6 +315,18 @@ class TestMultiscale:
         u_d = multiscale_flow(i1, i2, samples, pd)
         u_c = multiscale_flow(i1, i2, samples, pc)
         np.testing.assert_allclose(u_c.data, u_d.data, atol=1e-6)
+
+    def test_three_levels_match_pinned_reference(self):
+        rng = np.random.default_rng(12)
+        n = 24
+        i1 = ScalarGrid(n, n, rng.random((n, n)))
+        i2 = ScalarGrid(n, n, rng.random((n, n)))
+        samples = [DisplacementSample(position=np.array([11.0, 13.0]),
+                                      displacement=np.array([0.4, -0.3]))]
+        p = FlowParams(alpha=0.8, beta=1.0, sigma_g=3.0, levels=3)
+        u = multiscale_flow(i1, i2, samples, p)
+        ref = np.load(Path(__file__).parent / "data" / "multiscale_24_levels3.npy")
+        np.testing.assert_allclose(u.data, ref, rtol=0, atol=1e-12)
 
 
 class TestFlowConfig:

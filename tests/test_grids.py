@@ -246,6 +246,17 @@ class TestF64Grid:
             read_f64grid(path)
         assert err.value.offset == 0
 
+    @pytest.mark.parametrize("extents", [(3, 2, 2, 1), (1, 0, 2, 1), (2, 3, 3, 2)],
+                             ids=["ncomp-3", "zero-width", "vector-volume"])
+    def test_inadmissible_extents_offset(self, tmp_path, extents):
+        path = tmp_path / "ext.f64grid"
+        ncomp, nx, ny, nz = extents
+        path.write_bytes(f"F64GRID {ncomp} {nx} {ny} {nz}\n".encode("ascii")
+                         + b"\x00" * (8 * ncomp * nx * ny * nz))
+        with pytest.raises(FormatError, match="inadmissible extents") as err:
+            read_f64grid(path)
+        assert err.value.offset == len(b"F64GRID ")
+
     def test_truncated_payload_offset(self, tmp_path):
         path = tmp_path / "trunc.f64grid"
         header = b"F64GRID 1 2 2 1\n"

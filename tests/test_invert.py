@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from speckleflow.elastic import LameField, MU_FLOOR
+from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch
 from speckleflow.grids import VectorGrid
 from speckleflow.invert import (InversionConfig, IterationTrace,
@@ -10,6 +12,8 @@ from speckleflow.invert import (InversionConfig, IterationTrace,
                                 read_trace_csv, stop_discrepancy,
                                 stop_heuristic, write_trace_csv)
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_phantom(seed=0, n=24):
@@ -106,6 +110,35 @@ class TestNesterov:
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(result.mu.data, p.mu.data,
                                        rtol=1e-12, atol=1e-12)
+
+    def test_accelerated_run_matches_pinned_reference(self, monkeypatch):
+        # criterion 11's phantom (seed 0) with acceleration on, pinned to a
+        # stored trace and final iterate
+        spec = PhantomSpec(kind="inclusion", nx=16, ny=16, bubble_count=3,
+                           bubble_sigma_min=1.0, bubble_sigma_max=1.3,
+                           compression_px=2.0, inclusion_radius=3.0,
+                           seed=0, margin=3)
+        lame, bc, u_true, *_ = make_inclusion_phantom(spec)
+        calls = []
+        factorize = ElasticModel.factorize
+
+        def counted(self, p):
+            calls.append(p)
+            return factorize(self, p)
+
+        monkeypatch.setattr(ElasticModel, "factorize", counted)
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
+                              stopping="manual", manual_k=6)
+        result, trace = nesterov_iterate(cfg, u_true, bc)
+        ref = np.load(DATA / "nesterov_accelerated_16.npz")
+        np.testing.assert_allclose(trace.residuals, ref["residuals"], rtol=1e-12)
+        np.testing.assert_allclose(trace.stepsizes, ref["stepsizes"], rtol=1e-12)
+        np.testing.assert_allclose(result.lam.data, ref["lam"], rtol=1e-12)
+        np.testing.assert_allclose(result.mu.data, ref["mu"], rtol=1e-12)
+        assert (trace.stopped_by, trace.k_star) == ("manual", 6)
+        # step 1 is plain (one factorization), steps 2..6 factorize at the
+        # extrapolated point and at the iterate, plus the final iterate
+        assert len(calls) == 12
 
     def test_monotone_residuals_exact_data(self):
         # steepest descent on exact data: residual non-increasing
