@@ -7,12 +7,14 @@ schemas passed in: a dataclass contributes its `int`, `float`, `str` and
 `bool` fields (except those whose field metadata sets `"config": False`),
 and a `{key: type}` dict adds keys that are not fields.  Booleans are
 written 1/true/yes/on or 0/false/no/off.  An unknown key, a duplicate key or
-a value that does not convert raises `FormatError` naming the file and line.
-`read_text` is the UTF-8 check shared with the package's other text readers.
+a value that does not convert (floats must be finite) raises `FormatError`
+naming the file and line.  `read_text` and `finite_float` are shared with
+the package's other text readers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass
 
 from .errors import FormatError
@@ -29,6 +31,17 @@ def _schema_types(schema) -> dict:
     types = ((f.name, _TYPES.get(getattr(f.type, "__name__", f.type)))
              for f in fields(schema) if f.metadata.get("config", True))
     return {name: typ for name, typ in types if typ is not None}
+
+
+def finite_float(raw: str) -> float:
+    """`float(raw)`, raising `ValueError` for nan and infinities too."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
+_CONVERT = {bool: lambda raw: _BOOLS[raw.lower()], float: finite_float}
 
 
 def read_text(path) -> str:
@@ -64,8 +77,8 @@ def read_config(path, what: str, *schemas) -> dict:
             raise FormatError(f"{where}: duplicate key '{key}'")
         typ = types[key]
         try:
-            out[key] = _BOOLS[raw.lower()] if typ is bool else typ(raw)
+            out[key] = _CONVERT.get(typ, typ)(raw)
         except (KeyError, ValueError):
-            raise FormatError(f"{where}: '{key}' must be {typ.__name__}, "
-                              f"got '{raw}'") from None
+            kind = "finite float" if typ is float else typ.__name__
+            raise FormatError(f"{where}: '{key}' must be {kind}, got '{raw}'") from None
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .config import read_text
+from .config import finite_float, read_text
 from .errors import DivisionByZero, DomainError, FormatError, ShapeMismatch, SingularSystem
 from .grids import ScalarGrid, VectorGrid
 from .linsolve import GridFactor, grid_order
@@ -55,23 +55,19 @@ class LameField:
 
     lam: ScalarGrid
     mu: ScalarGrid
-    mu_floor: float = MU_FLOOR
 
     def __post_init__(self):
         if (self.lam.nx, self.lam.ny) != (self.mu.nx, self.mu.ny):
             raise ShapeMismatch("lambda and mu extents differ")
         if np.any(self.lam.data < 0):
             raise DomainError("lambda must be nonnegative everywhere")
-        if np.any(self.mu.data < self.mu_floor):
-            raise DomainError(f"mu must be at least {self.mu_floor} everywhere")
+        if np.any(self.mu.data < MU_FLOOR):
+            raise DomainError(f"mu must be at least {MU_FLOOR} everywhere")
 
     @classmethod
     def constant(cls, nx, ny, lam, mu, spacing=1.0):
         return cls(ScalarGrid(nx, ny, np.full((ny, nx), float(lam)), spacing),
                    ScalarGrid(nx, ny, np.full((ny, nx), float(mu)), spacing))
-
-    def copy(self):
-        return LameField(self.lam.copy(), self.mu.copy(), self.mu_floor)
 
 
 @dataclass
@@ -80,13 +76,13 @@ class BoundaryConditions:
 
     dirichlet entries are (side, components, value) with components one of
     'ux', 'uy', 'both'; value may be a scalar or an array over the side's
-    nodes.  traction entries are (side, (tx, ty)).  A side may not carry
-    both kinds.  The y axis runs from the bottom row (0) to the top row.
+    n nodes, of shape (n,) or (n, number of components).  traction entries
+    are (side, (tx, ty)).  A side may not carry both kinds.  The y axis runs
+    from the bottom row (0) to the top row.
     """
 
     dirichlet: list
     traction: list = field(default_factory=list)
-    body_force: VectorGrid | None = None
 
     def __post_init__(self):
         if not self.dirichlet:
@@ -182,20 +178,15 @@ class ElasticModel:
         fixed = np.zeros(2 * self.n_nodes, dtype=bool)
         for side, comps, value in self.bc.dirichlet:
             nodes = _side_nodes(side, self.nx, self.ny)
-            sel = (0, 1) if comps == "both" else ((0,) if comps == "ux" else (1,))
+            sel = [0, 1] if comps == "both" else ([0] if comps == "ux" else [1])
             value = np.asarray(value, dtype=np.float64)
-            for j, comp in enumerate(sel):
-                if value.ndim == 0:
-                    vals = np.full(nodes.size, float(value))
-                elif value.ndim == 1:
-                    if value.size != nodes.size:
-                        raise ShapeMismatch(
-                            f"Dirichlet value length {value.size} != side nodes {nodes.size}")
-                    vals = value
-                else:
-                    vals = value[:, j]
-                lift[2 * nodes + comp] = vals
-                fixed[2 * nodes + comp] = True
+            if value.shape not in ((), (nodes.size,), (nodes.size, len(sel))):
+                raise ShapeMismatch(
+                    f"Dirichlet value of shape {value.shape} on a side of "
+                    f"{nodes.size} nodes with {len(sel)} component(s)")
+            dofs = 2 * nodes[:, None] + sel
+            lift[dofs] = value.reshape(value.shape + (1,) * (2 - value.ndim))
+            fixed[dofs] = True
         if not fixed.any():
             raise DomainError("Dirichlet boundary is empty")
         # with mu > 0 the stiffness is singular on the free DOFs exactly when
@@ -225,22 +216,7 @@ class ElasticModel:
             w[0] = w[-1] = h / 2.0
             load[2 * nodes] += w * t[0]
             load[2 * nodes + 1] += w * t[1]
-        if self.bc.body_force is not None:
-            f = self.bc.body_force
-            if (f.nx, f.ny) != (self.nx, self.ny):
-                raise ShapeMismatch("body force extents differ from the grid")
-            load += (h * h) * self._node_weights_dof() * f.data.ravel()
         self.load = load
-
-    def _node_weights_dof(self):
-        w = self._node_weights()
-        return np.repeat(w, 2)
-
-    def _node_weights(self):
-        """Fraction of a full cell area owned by each node (lumped mass)."""
-        w = np.zeros(self.n_nodes)
-        np.add.at(w, self.cell_nodes.ravel(), 0.25)
-        return w
 
     # -- parameter handling -------------------------------------------------
 
@@ -272,16 +248,15 @@ class ElasticModel:
             lu = GridFactor(K_ff, self.order)
         except RuntimeError as exc:
             raise SingularSystem(f"stiffness factorization failed: {exc}")
-        return ElasticFactors(self, p, K, K_ff, lu)
+        return ElasticFactors(self, K, K_ff, lu)
 
 
 class ElasticFactors:
     """Factorized stiffness for one Lame field; supports the forward solve
     and any number of homogeneous-Dirichlet solves."""
 
-    def __init__(self, model: ElasticModel, p: LameField, K, K_ff, lu):
+    def __init__(self, model: ElasticModel, K, K_ff, lu):
         self.model = model
-        self.p = p
         self.K = K
         self.K_ff = K_ff
         self._lu = lu
@@ -408,13 +383,13 @@ def read_bc_config(path) -> BoundaryConditions:
         parts = stripped.split()
         if parts[0] == "dirichlet" and len(parts) == 4:
             try:
-                value = float(parts[3])
+                value = finite_float(parts[3])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: bad Dirichlet value")
             dirichlet.append((parts[1], parts[2], value))
         elif parts[0] == "traction" and len(parts) == 4:
             try:
-                tx, ty = float(parts[2]), float(parts[3])
+                tx, ty = finite_float(parts[2]), finite_float(parts[3])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: bad traction value")
             traction.append((parts[1], (tx, ty)))

@@ -95,13 +95,16 @@ class FlowParams:
 @dataclass
 class FlowSystem:
     """Assembled sparse system A u = y with the constant term of the
-    quadratic expansion F(u) = u'Au/2 - y'u + const."""
+    quadratic expansion F(u) = u'Au/2 - y'u + const.  `translation`, half
+    of A on uniform fields, is sum_p grad I grad I' + beta sum_p W(p) I2; A
+    is singular whenever it is (and, with alpha > 0, only then)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     nx: int
     ny: int
     constant: float = 0.0
+    translation: np.ndarray | None = None
 
 
 def gaussian_weight(x, xhat, sigma: float) -> float:
@@ -118,27 +121,19 @@ def _sample_fields(nx, ny, samples, sigma):
     """Accumulated Gaussian weight fields over the pixel grid.
 
     Returns (W, WU, wu2) with W(p) = sum_i g_i(p), WU(p) = sum_i g_i(p) u_i
-    and wu2 = sum_i sum_p g_i(p) |u_i|^2.  The Gaussians are separable, so
-    each sample costs two 1-D exponentials and one outer product.
+    and wu2 = sum_i sum_p g_i(p) |u_i|^2.  The Gaussians are separable,
+    g_i(p) = gy_i(y) gx_i(x), so the sums over samples are matrix products
+    of the 1-D factors.
     """
-    W = np.zeros((ny, nx))
-    WU = np.zeros((ny, nx, 2))
-    wu2 = 0.0
-    if not samples:
-        return W, WU, wu2
-    xs = np.arange(nx, dtype=np.float64)
-    ys = np.arange(ny, dtype=np.float64)
-    peak = 1.0 / (2.0 * math.pi * sigma * sigma)
+    pos = np.array([s.position[:2] for s in samples], dtype=np.float64).reshape(-1, 2)
+    u = np.array([s.displacement[:2] for s in samples], dtype=np.float64).reshape(-1, 2)
     inv = 1.0 / (2.0 * sigma * sigma)
-    for s in samples:
-        px, py = float(s.position[0]), float(s.position[1])
-        gx = np.exp(-((xs - px) ** 2) * inv)
-        gy = np.exp(-((ys - py) ** 2) * inv)
-        g = peak * np.outer(gy, gx)
-        u = np.asarray(s.displacement[:2], dtype=np.float64)
-        W += g
-        WU += g[:, :, None] * u
-        wu2 += float(g.sum()) * float(u @ u)
+    peak = inv / math.pi
+    gx = np.exp(-((np.arange(nx) - pos[:, :1]) ** 2) * inv)
+    gy = peak * np.exp(-((np.arange(ny) - pos[:, 1:]) ** 2) * inv)
+    W = gy.T @ gx
+    WU = np.stack([(gy.T * u[:, c]) @ gx for c in (0, 1)], axis=-1)
+    wu2 = float((gy.sum(axis=1) * gx.sum(axis=1)) @ (u * u).sum(axis=1))
     return W, WU, wu2
 
 
@@ -181,84 +176,55 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
     """Assemble the sparse SPD system whose solution minimizes the flow
     functional.
 
-    The matrix is the Hessian of the discrete functional: pixelwise 2x2
-    image-gradient blocks, the 5-point Laplacian per component scaled by
-    2*alpha, a diagonal bubble-weight term scaled by 2*beta, and the
-    divergence-stencil normal matrix scaled by 2*gamma.
+    The matrix is the Hessian of the discrete functional, written with the
+    functional's own operators on the interleaved unknowns: the component
+    pickers u1, u2, the data operator G = diag(Ix) u1 + diag(Iy) u2, the
+    forward differences Dx, Dy and the per-cell divergence div, so that
+
+        A = 2 (G'G + alpha kron(Dx'Dx + Dy'Dy, I2) + beta diag(W x 1_2)
+               + gamma div'div),
+        y = 2 (-G' It + beta WU).
     """
     _check_fields(gradI, It)
     nx, ny = It.nx, It.ny
-    N = nx * ny
-    gx = gradI.data[:, :, 0].ravel()
-    gy = gradI.data[:, :, 1].ravel()
+    n = nx * ny
+    g = gradI.data.reshape(n, 2)
     it = It.data.ravel()
-    idx = np.arange(N).reshape(ny, nx)
 
-    rows, cols, vals = [], [], []
+    u1 = sp.kron(sp.identity(n), [[1.0, 0.0]], format="csr")
+    u2 = sp.kron(sp.identity(n), [[0.0, 1.0]], format="csr")
+    G = sp.diags(g[:, 0]) @ u1 + sp.diags(g[:, 1]) @ u2
+    # 1-D forward differences (d v)_i = v_(i+1) - v_i
+    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx), format="csr")
+    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny), format="csr")
+    Dx = sp.kron(sp.identity(ny), dx)
+    Dy = sp.kron(dy, sp.identity(nx))
+    H = G.T @ G + p.alpha * sp.kron(Dx.T @ Dx + Dy.T @ Dy, sp.identity(2))
+    y = -(G.T @ it)
+    constant = float(it @ it)
+    translation = g.T @ g
 
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v, dtype=np.float64).ravel())
-
-    # data term: 2 * outer(grad I, grad I) per pixel
-    base = 2 * np.arange(N)
-    add(base, base, 2.0 * gx * gx)
-    add(base + 1, base + 1, 2.0 * gy * gy)
-    add(base, base + 1, 2.0 * gx * gy)
-    add(base + 1, base, 2.0 * gx * gy)
-
-    # smoothness: graph Laplacian on the 4-neighborhood, per component
-    if p.alpha > 0:
-        w = 2.0 * p.alpha
-        for comp in (0, 1):
-            for a, b in (((2 * idx[:, :-1] + comp), (2 * idx[:, 1:] + comp)),
-                         ((2 * idx[:-1, :] + comp), (2 * idx[1:, :] + comp))):
-                ones = np.full(a.size, w)
-                add(a, a, ones)
-                add(b, b, ones)
-                add(a, b, -ones)
-                add(b, a, -ones)
-
-    # bubble term: diagonal Gaussian weights, rhs pulls toward the samples
-    W = WU = None
-    wu2 = 0.0
     if p.beta > 0 and samples:
         W, WU, wu2 = _sample_fields(nx, ny, samples, p.sigma_g)
-        wflat = 2.0 * p.beta * W.ravel()
-        add(base, base, wflat)
-        add(base + 1, base + 1, wflat)
-
-    # divergence penalty on forward-difference cells
-    if p.gamma > 0:
-        c00 = idx[:-1, :-1]
-        dofs = np.stack([2 * c00, 2 * (c00 + 1), 2 * c00 + 1,
-                         2 * idx[1:, :-1] + 1], axis=-1).reshape(-1, 4)
-        sign = np.array([-1.0, 1.0, -1.0, 1.0])
-        block = 2.0 * p.gamma * np.outer(sign, sign)
-        ncell = dofs.shape[0]
-        r = np.repeat(dofs, 4, axis=1).reshape(ncell, 4, 4)
-        c = np.tile(dofs, (1, 4)).reshape(ncell, 4, 4)
-        add(r, c, np.broadcast_to(block, (ncell, 4, 4)))
-
-    A = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(2 * N, 2 * N))
-    A.sum_duplicates()
-
-    y = np.zeros(2 * N)
-    y[0::2] = -2.0 * it * gx
-    y[1::2] = -2.0 * it * gy
-    constant = float(np.sum(it * it))
-    if W is not None:
-        y[0::2] += 2.0 * p.beta * WU[:, :, 0].ravel()
-        y[1::2] += 2.0 * p.beta * WU[:, :, 1].ravel()
+        H = H + p.beta * sp.diags(np.repeat(W.ravel(), 2))
+        y = y + p.beta * WU.ravel()
         constant += p.beta * wu2
+        translation = translation + p.beta * W.sum() * np.identity(2)
 
-    return FlowSystem(matrix=A, rhs=y, nx=nx, ny=ny, constant=constant)
+    if p.gamma > 0:
+        # divergence of each cell from its lower-left pixel's forward differences
+        div = (sp.kron(sp.eye(ny - 1, ny), dx) @ u1
+               + sp.kron(dy, sp.eye(nx - 1, nx)) @ u2)
+        H = H + p.gamma * (div.T @ div)
+
+    return FlowSystem(matrix=sp.csr_matrix(2.0 * H), rhs=2.0 * y, nx=nx, ny=ny,
+                      constant=constant, translation=translation)
 
 
 def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
+    if sys.translation is not None and np.linalg.matrix_rank(sys.translation) < 2:
+        raise NotSPD("flow system is singular: neither the image gradient "
+                     "nor the samples determine a uniform translation")
     if p.solver == "direct":
         try:
             x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
@@ -282,7 +248,8 @@ def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
 
 
 def solve_flow(sys: FlowSystem, p: FlowParams) -> VectorGrid:
-    """Solve the assembled system and reshape to a displacement field."""
+    """Solve the assembled system and reshape to a displacement field;
+    `NotSPD` if the system is singular (always if `translation` is)."""
     x = _solve_system(sys, p)
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
 
@@ -346,7 +313,7 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         up_flat = up.ravel()
         corr_sys = FlowSystem(matrix=sys.matrix,
                               rhs=sys.rhs - sys.matrix @ up_flat,
-                              nx=a.nx, ny=a.ny)
+                              nx=a.nx, ny=a.ny, translation=sys.translation)
         u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys, p))
     return u
 

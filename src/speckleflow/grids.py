@@ -195,12 +195,6 @@ def gaussian_filter(v: Volume, sigma: float) -> Volume:
     return Volume(v.nx, v.ny, v.nz, out)
 
 
-def gaussian_filter2d(g: ScalarGrid, sigma: float) -> ScalarGrid:
-    """2-D convenience wrapper around :func:`gaussian_filter`."""
-    vol = gaussian_filter(Volume.from_array(g.data), sigma)
-    return ScalarGrid(g.nx, g.ny, vol.data[0], g.spacing)
-
-
 # ---------------------------------------------------------------------------
 # image pyramid
 
@@ -252,11 +246,11 @@ def downsample(g: ScalarGrid, eta: float, sigma0: float) -> ScalarGrid:
     my = int(round(eta * g.ny))
     if mx < 2 or my < 2:
         raise GridTooSmall(f"downsampled extents {mx}x{my} are below 2x2")
-    smoothed = gaussian_filter2d(g, pyramid_sigma(eta, sigma0))
+    smoothed = gaussian_filter(Volume.from_array(g.data), pyramid_sigma(eta, sigma0))
     xs = np.arange(mx) * (g.nx / mx)
     ys = np.arange(my) * (g.ny / my)
     gx, gy = np.meshgrid(xs, ys)
-    return ScalarGrid(mx, my, bilinear_sample(smoothed.data, gx, gy), g.spacing / eta)
+    return ScalarGrid(mx, my, bilinear_sample(smoothed.data[0], gx, gy), g.spacing / eta)
 
 
 def prolong(u: VectorGrid, nx: int, ny: int, scale: float) -> VectorGrid:

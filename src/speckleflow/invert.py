@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import read_config, read_text
+from .config import finite_float, read_config, read_text
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid
@@ -95,7 +95,6 @@ def boundary_band_mask(nx: int, ny: int, width: int, spacing: float = 1.0) -> Sc
 class InversionConfig:
     """Settings for the Landweber/Nesterov loop."""
 
-    initial: LameField | None = None
     lambda0: float = 490.0
     mu0: float = 10.0
     tau: float = 1.5
@@ -127,8 +126,6 @@ class InversionConfig:
                 raise DomainError("boundary mask must be binary")
 
     def initial_for(self, nx: int, ny: int, spacing: float = 1.0) -> LameField:
-        if self.initial is not None:
-            return self.initial
         return LameField.constant(nx, ny, self.lambda0, self.mu0, spacing)
 
     @classmethod
@@ -142,7 +139,7 @@ class InversionConfig:
         m = re.fullmatch(r"constant\(([^)]+)\)", cfg.get("stepsize", ""))
         if m:
             try:
-                cfg["stepsize"], cfg["omega"] = "constant", float(m.group(1))
+                cfg["stepsize"], cfg["omega"] = "constant", finite_float(m.group(1))
             except ValueError:
                 raise FormatError(f"{path}: 'stepsize' must be constant(<float>), "
                                   f"got '{m.group(0)}'") from None
@@ -275,7 +272,7 @@ def landweber_step(p: LameField, udelta: VectorGrid, bc: BoundaryConditions,
 
     Returns (updated LameField, stepsize, residual norm at p).  Masked
     pixels receive a zero update; the result is projected back onto the
-    admissible set (lambda >= 0, mu >= mu_floor).
+    admissible set (lambda >= 0, mu >= MU_FLOOR).
     """
     h = p.lam.spacing
     model = ElasticModel(p.lam.nx, p.lam.ny, bc, h)
@@ -314,8 +311,6 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     nx, ny = udelta.nx, udelta.ny
     model = ElasticModel(nx, ny, bc, h)
     initial = cfg.initial_for(nx, ny, h)
-    if (initial.lam.nx, initial.lam.ny) != (nx, ny):
-        raise ShapeMismatch("initial guess extents differ from the data grid")
     if cfg.boundary_mask is not None and \
             (cfg.boundary_mask.nx, cfg.boundary_mask.ny) != (nx, ny):
         raise ShapeMismatch("boundary mask extents differ from the data grid")

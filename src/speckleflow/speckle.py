@@ -139,18 +139,11 @@ def connected_components(v: Volume) -> Volume:
     """Label connected groups of nonzero voxels.
 
     Uses 26-connectivity (8-connectivity in the nz = 1 case).  Labels run
-    from 1 to K, ordered by each component's smallest linear voxel index so
-    the labeling is reproducible.
+    from 1 to K, ordered by each component's smallest linear voxel index
+    (`ndimage.label` numbers components in raster order of their first
+    voxel), so the labeling is reproducible.
     """
-    mask = v.data != 0
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=int))
-    if count > 1:
-        flat = labels.ravel()
-        vals = flat[flat != 0]
-        uniq, first = np.unique(vals, return_index=True)
-        remap = np.zeros(count + 1, dtype=np.int64)
-        remap[uniq[np.argsort(first, kind="stable")]] = np.arange(1, count + 1)
-        labels = remap[labels]
+    labels, _ = ndimage.label(v.data != 0, structure=np.ones((3, 3, 3), dtype=int))
     return Volume(v.nx, v.ny, v.nz, labels.astype(np.float64))
 
 

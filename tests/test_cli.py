@@ -95,7 +95,13 @@ class TestExitCodes:
         ("flow", "levels = five\n"),
         ("flow", "F64GRID 1 1 1 1\n\xff\n"),
         ("invert", "stepsize = constant(abc)\n"),
-    ], ids=["synth", "track", "flow", "flow-binary", "invert"])
+        ("synth", "noise_rel = inf\n"),
+        ("track", "d_max = nan\n"),
+        ("flow", "alpha = nan\n"),
+        ("invert", "stopping = discrepancy\ntau = nan\n"),
+        ("invert", "stepsize = constant(nan)\n"),
+    ], ids=["synth", "track", "flow", "flow-binary", "invert", "synth-inf",
+            "track-nan", "flow-nan", "invert-nan", "invert-omega-nan"])
     def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
                                                command, text):
         image = tmp_path / "i.f64grid"

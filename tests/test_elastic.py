@@ -176,6 +176,26 @@ class TestForwardSolve:
         u = forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
         assert np.all(np.isfinite(u.data))
 
+    @pytest.mark.parametrize("comps, shape", [
+        ("both", (4, 2)), ("uy", (4, 2)), ("both", (6, 1)), ("ux", (6, 2)),
+        ("both", (6, 2, 1)),
+    ], ids=["both-4x2", "uy-4x2", "both-6x1", "ux-6x2", "both-6x2x1"])
+    def test_dirichlet_value_shape_mismatch(self, comps, shape):
+        # the bottom side of a 6 x 5 grid has 6 nodes
+        def model(value):
+            bc = BoundaryConditions(dirichlet=[("bottom", comps, value),
+                                               ("top", "both", 0.0)])
+            return ElasticModel(6, 5, bc)
+        with pytest.raises(ShapeMismatch):
+            model(np.zeros(shape))
+        k = 2 if comps == "both" else 1
+        sel = [0, 1] if comps == "both" else ([0] if comps == "ux" else [1])
+        values = np.arange(6.0 * k).reshape(6, k)
+        lift = model(values).lift.reshape(-1, 2)[:6]
+        np.testing.assert_array_equal(lift[:, sel], values)
+        lift = model(values[:, 0]).lift.reshape(-1, 2)[:6]
+        np.testing.assert_array_equal(lift[:, sel], np.repeat(values[:, :1], k, axis=1))
+
     def test_dirichlet_and_traction_same_side_rejected(self):
         with pytest.raises(DomainError):
             BoundaryConditions(dirichlet=[("top", "both", 0.0)],
@@ -305,3 +325,9 @@ class TestBCConfig:
         path.write_text("dirichlet top uy\n")
         with pytest.raises(FormatError):
             read_bc_config(path)
+        for line in ("dirichlet top uy nan", "dirichlet top uy -inf",
+                     "traction left inf 0", "traction left 0 nan"):
+            path.write_text(f"dirichlet bottom both 0\n{line}\n")
+            with pytest.raises(FormatError) as err:
+                read_bc_config(path)
+            assert str(err.value).startswith(f"{path}:2:")

@@ -6,9 +6,9 @@ import pytest
 
 from speckleflow.errors import (DomainError, GridTooSmall, NotConverged, NotSPD,
                                ShapeMismatch)
-from speckleflow.flow import (FlowParams, assemble, evaluate_functional,
-                              gaussian_weight, gradient, multiscale_flow,
-                              solve_flow)
+from speckleflow.flow import (FlowParams, _sample_fields, assemble,
+                              evaluate_functional, gaussian_weight, gradient,
+                              multiscale_flow, solve_flow)
 from speckleflow.grids import ScalarGrid, VectorGrid, spatial_gradient, temporal_difference
 from speckleflow.speckle import DisplacementSample
 
@@ -73,6 +73,24 @@ class TestGaussianWeight:
     def test_nonpositive_sigma(self):
         with pytest.raises(DomainError):
             gaussian_weight([0, 0], [0, 0], 0.0)
+
+    def test_sample_fields_match_per_sample_sums(self):
+        # reference: one gaussian_weight per sample and pixel
+        _, _, samples, _ = random_instance(7, nx=9, ny=7, n_samples=5)
+        W = np.zeros((7, 9))
+        WU = np.zeros((7, 9, 2))
+        wu2 = 0.0
+        for s in samples:
+            for y in range(7):
+                for x in range(9):
+                    g = gaussian_weight([x, y], s.position, 2.5)
+                    W[y, x] += g
+                    WU[y, x] += g * s.displacement
+                    wu2 += g * float(s.displacement @ s.displacement)
+        got = _sample_fields(9, 7, samples, 2.5)
+        np.testing.assert_allclose(got[0], W, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[1], WU, rtol=1e-12, atol=1e-15)
+        assert got[2] == pytest.approx(wu2, rel=1e-12)
 
 
 class TestFunctionalAndAssembly:
@@ -202,6 +220,32 @@ class TestSolvers:
         sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), [], p)
         with pytest.raises(NotSPD):
             solve_flow(sys, p)
+
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
+    @pytest.mark.parametrize("levels", [1, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("frames", ["flat", "x-stripes"])
+    def test_undetermined_translation_not_spd(self, frames, gamma, levels, solver):
+        # without samples, frames that are featureless or vary only in x
+        # leave a uniform (y) translation in the kernel of every level
+        n = 40
+        x = np.arange(n, dtype=float)
+        data = (np.full((n, n), 0.5) if frames == "flat"
+                else np.tile(0.5 + 0.4 * np.sin(0.7 * x), (n, 1)))
+        i1 = ScalarGrid(n, n, data)
+        i2 = ScalarGrid(n, n, np.roll(data, 1, axis=1))
+        p = FlowParams(alpha=0.8, gamma=gamma, levels=levels, solver=solver)
+        with pytest.raises(NotSPD):
+            multiscale_flow(i1, i2, [], p)
+        sys = assemble(spatial_gradient(i1), temporal_difference(i1, i2), [], p)
+        with pytest.raises(NotSPD):
+            solve_flow(sys, p)
+        # one bubble sample pins the translation
+        s = [DisplacementSample(position=np.array([20.0, 20.0]),
+                                displacement=np.array([1.0, 0.0]))]
+        p = FlowParams(alpha=0.8, beta=1.0, sigma_g=3.0, gamma=gamma,
+                       levels=levels, solver=solver, tol=1e-10)
+        assert np.all(np.isfinite(multiscale_flow(i1, i2, s, p).data))
 
     def test_cg_agrees_with_direct(self):
         grad, it, samples, _ = random_instance(1, nx=12, ny=12)
