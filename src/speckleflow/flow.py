@@ -22,7 +22,7 @@ the quadrature weight per pixel is 1.  Unknowns are interleaved as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,8 +103,8 @@ class FlowSystem:
     rhs: np.ndarray
     nx: int
     ny: int
+    translation: np.ndarray
     constant: float = 0.0
-    translation: np.ndarray | None = None
 
 
 def gaussian_weight(x, xhat, sigma: float) -> float:
@@ -222,7 +222,9 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
 
 
 def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
-    if sys.translation is not None and np.linalg.matrix_rank(sys.translation) < 2:
+    if not np.all(np.isfinite(sys.translation)):
+        raise NotSPD("flow system has non-finite entries")
+    if np.linalg.matrix_rank(sys.translation) < 2:
         raise NotSPD("flow system is singular: neither the image gradient "
                      "nor the samples determine a uniform translation")
     if p.solver == "direct":
@@ -311,9 +313,7 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         sys = assemble(grad_a, ScalarGrid(a.nx, a.ny, it_eff),
                        _scaled_samples(samples, p.eta ** s), p)
         up_flat = up.ravel()
-        corr_sys = FlowSystem(matrix=sys.matrix,
-                              rhs=sys.rhs - sys.matrix @ up_flat,
-                              nx=a.nx, ny=a.ny, translation=sys.translation)
+        corr_sys = replace(sys, rhs=sys.rhs - sys.matrix @ up_flat)
         u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys, p))
     return u
 

@@ -29,27 +29,26 @@ __all__ = ["grid_order", "GridFactor"]
 _LEAF = 2
 
 
+def _dissect(block: np.ndarray) -> list:
+    """Pieces of `block` in nested-dissection order: both halves, then the separator."""
+    h, w = block.shape
+    if w <= _LEAF and h <= _LEAF:
+        return [block.ravel()]
+    if w >= h:
+        m = w // 2
+        halves, sep = (block[:, :m], block[:, m + 1:]), block[:, m]
+    else:
+        m = h // 2
+        halves, sep = (block[:m], block[m + 1:]), block[m]
+    return _dissect(halves[0]) + _dissect(halves[1]) + [sep]
+
+
 def _node_order(nx: int, ny: int) -> np.ndarray:
     """Nested-dissection numbering of the nodes of an nx x ny grid."""
-    parts = []
-
-    def number(block):
-        h, w = block.shape
-        if w <= _LEAF and h <= _LEAF:
-            parts.append(block.ravel())
-        elif w >= h:
-            m = w // 2
-            number(block[:, :m])
-            number(block[:, m + 1:])
-            parts.append(block[:, m])
-        else:
-            m = h // 2
-            number(block[:m])
-            number(block[m + 1:])
-            parts.append(block[m])
-
-    number(np.arange(nx * ny).reshape(ny, nx))
-    return np.concatenate(parts)
+    # not a self-referencing closure: that is a reference cycle, which keeps
+    # thousands of small pieces alive until the cyclic collector runs and
+    # fragments the heap between factorizations
+    return np.concatenate(_dissect(np.arange(nx * ny).reshape(ny, nx)))
 
 
 def grid_order(nx: int, ny: int, free: np.ndarray | None = None) -> np.ndarray:

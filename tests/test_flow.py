@@ -247,6 +247,28 @@ class TestSolvers:
                        levels=levels, solver=solver, tol=1e-10)
         assert np.all(np.isfinite(multiscale_flow(i1, i2, s, p).data))
 
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
+    @pytest.mark.parametrize("case", ["huge-beta", "huge-gradient"])
+    def test_overflowing_system_not_spd(self, case, solver):
+        # finite inputs whose translation block overflows to inf
+        n = 12
+        x = np.arange(n, dtype=float)
+        data = np.add.outer(np.sin(0.7 * x), np.cos(0.5 * x))
+        scale, beta = (1.0, 1e308) if case == "huge-beta" else (1e160, 0.0)
+        i1 = ScalarGrid(n, n, scale * data)
+        i2 = ScalarGrid(n, n, scale * np.roll(data, 1, axis=1))
+        s = [DisplacementSample(position=np.array([4.0, 4.0]),
+                                displacement=np.array([1.0, 0.0])),
+             DisplacementSample(position=np.array([7.0, 6.0]),
+                                displacement=np.array([0.0, 1.0]))]
+        p = FlowParams(alpha=0.5, beta=beta, sigma_g=2.0, solver=solver)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotSPD):
+                multiscale_flow(i1, i2, s, p)
+            sys = assemble(spatial_gradient(i1), temporal_difference(i1, i2), s, p)
+            with pytest.raises(NotSPD):
+                solve_flow(sys, p)
+
     def test_cg_agrees_with_direct(self):
         grad, it, samples, _ = random_instance(1, nx=12, ny=12)
         p_direct = FlowParams(alpha=0.5, beta=1.0, sigma_g=2.0, solver="direct")
