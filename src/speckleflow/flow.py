@@ -227,6 +227,9 @@ def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
     if np.linalg.matrix_rank(sys.translation) < 2:
         raise NotSPD("flow system is singular: neither the image gradient "
                      "nor the samples determine a uniform translation")
+    # the matrix is PSD, so a diagonal entry <= 0 means a zero row
+    if not np.all(sys.matrix.diagonal() > 0):
+        raise NotSPD("flow system is singular: an unknown enters no term")
     if p.solver == "direct":
         try:
             x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
@@ -251,7 +254,8 @@ def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
 
 def solve_flow(sys: FlowSystem, p: FlowParams) -> VectorGrid:
     """Solve the assembled system and reshape to a displacement field;
-    `NotSPD` if the system is singular (always if `translation` is)."""
+    `NotSPD` if the system is singular (always if `translation` is, or if
+    a diagonal entry of the matrix is zero)."""
     x = _solve_system(sys, p)
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
 

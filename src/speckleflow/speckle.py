@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .config import read_config, read_text
 from .errors import ConstantField, DomainError, FitError, FormatError, ShapeMismatch
@@ -47,6 +48,8 @@ class Bubble:
 
     def __post_init__(self):
         self.centroid = np.asarray(self.centroid, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(self.centroid)):
+            raise DomainError("centroid must be finite")
         if self.voxel_volume < 1:
             raise DomainError("voxel_volume must be at least 1")
 
@@ -92,7 +95,7 @@ class MatchCriteria:
     def __post_init__(self):
         for name in ("epsilon_small", "epsilon_large", "d_max", "phi_max",
                      "alpha_min", "alpha_max"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise DomainError(f"{name} must be nonnegative")
         if self.alpha_min > self.alpha_max:
             raise DomainError("alpha_min must not exceed alpha_max")
@@ -273,14 +276,23 @@ def match_bubbles(a: BubbleSet, b: BubbleSet, geom_a: CylinderGeometry,
                   two_d: bool = False) -> list:
     """Match bubbles between two scans.
 
-    All admissible pairs are ranked by (d_AB, |V_A - V_B|, labels) and
-    selected greedily so that every bubble appears in at most one sample.
-    The sample records the start centroid and the centroid shift, projected
-    to 2 components for 2-D slices.
+    Candidate pairs come from a k-d tree ball query with radius
+    d_max * (1 + 1e-9), a superset of the pairs with d_AB <= d_max; each is
+    then decided by `pair_matches`, visited in the order of a loop over a
+    then b.  All admissible pairs are ranked by (d_AB, |V_A - V_B|, labels)
+    with a stable sort and selected greedily so that every bubble appears in
+    at most one sample.  The sample records the start centroid and the
+    centroid shift, projected to 2 components for 2-D slices.
     """
+    if not a or not b:
+        return []
+    tree_a = cKDTree(np.array([bub.centroid for bub in a]))
+    tree_b = cKDTree(np.array([bub.centroid for bub in b]))
+    near = tree_a.query_ball_tree(tree_b, crit.d_max * (1.0 + 1e-9))
     candidates = []
-    for bub_a in a:
-        for bub_b in b:
+    for bub_a, js in zip(a, near):
+        for j in sorted(js):
+            bub_b = b[j]
             if pair_matches(bub_a, bub_b, geom_a, geom_b, crit, two_d):
                 d_ab = float(np.linalg.norm(bub_b.centroid - bub_a.centroid))
                 dv = abs(bub_a.voxel_volume - bub_b.voxel_volume)

@@ -248,6 +248,21 @@ class TestSolvers:
         assert np.all(np.isfinite(multiscale_flow(i1, i2, s, p).data))
 
     @pytest.mark.parametrize("solver", ["direct", "cg"])
+    def test_zero_row_not_spd(self, solver):
+        # alpha = 0 on flat frames: the sample's Gaussian weight underflows
+        # to exactly 0 far from it, leaving zero rows although `translation`
+        # has full rank
+        flat = ScalarGrid(80, 8, np.full((8, 80), 0.5))
+        s = [DisplacementSample(position=np.array([2.0, 4.0]),
+                                displacement=np.array([1.0, 0.0]))]
+        p = FlowParams(alpha=0.0, beta=1.0, sigma_g=1.0, solver=solver)
+        sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), s, p)
+        assert np.linalg.matrix_rank(sys.translation) == 2
+        assert np.count_nonzero(sys.matrix.diagonal() == 0) > 0
+        with pytest.raises(NotSPD):
+            solve_flow(sys, p)
+
+    @pytest.mark.parametrize("solver", ["direct", "cg"])
     @pytest.mark.parametrize("case", ["huge-beta", "huge-gradient"])
     def test_overflowing_system_not_spd(self, case, solver):
         # finite inputs whose translation block overflows to inf

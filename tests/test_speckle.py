@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speckleflow import speckle
 from speckleflow.errors import DomainError, FitError, FormatError
 from speckleflow.grids import Volume
 from speckleflow.speckle import (Bubble, CylinderGeometry, DisplacementSample,
                                  MatchCriteria, binarize_quantile,
                                  connected_components, extract_bubbles,
-                                 fit_circle, match_bubbles,
+                                 fit_circle, match_bubbles, pair_matches,
                                  read_samples_csv, run_tracking,
                                  tracking_config, write_samples_csv)
 
@@ -56,6 +59,30 @@ def circle_through_three(p1, p2, p3):
           + (cx ** 2 + cy ** 2) * (bx - ax)) / d
     r = np.hypot(ax - ux, ay - uy)
     return np.array([ux, uy]), r
+
+
+def all_pairs_match(a, b, geom_a, geom_b, crit, two_d=False):
+    """Matching by testing every pair, as before candidate generation."""
+    candidates = []
+    for bub_a in a:
+        for bub_b in b:
+            if pair_matches(bub_a, bub_b, geom_a, geom_b, crit, two_d):
+                d_ab = float(np.linalg.norm(bub_b.centroid - bub_a.centroid))
+                dv = abs(bub_a.voxel_volume - bub_b.voxel_volume)
+                candidates.append((d_ab, dv, bub_a.label, bub_b.label, bub_a, bub_b))
+    candidates.sort(key=lambda t: t[:4])
+    used_a, used_b = set(), set()
+    samples = []
+    dim = 2 if two_d else 3
+    for d_ab, dv, la, lb, bub_a, bub_b in candidates:
+        if la in used_a or lb in used_b:
+            continue
+        used_a.add(la)
+        used_b.add(lb)
+        shift = bub_b.centroid - bub_a.centroid
+        samples.append(DisplacementSample(position=bub_a.centroid[:dim].copy(),
+                                          displacement=shift[:dim].copy()))
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +244,83 @@ def _crit(**kw):
     return MatchCriteria(**defaults)
 
 
+def _lattice_bubbles(two_d):
+    coord = st.integers(0, 4)
+    z = st.just(0) if two_d else coord
+    bubble = st.builds(Bubble, label=st.integers(1, 3),
+                       centroid=st.tuples(coord, coord, z),
+                       voxel_volume=st.integers(1, 4))
+    return st.lists(bubble, max_size=12)
+
+
+@st.composite
+def _matching_instances(draw):
+    two_d = draw(st.booleans())
+    a = draw(_lattice_bubbles(two_d))
+    b = draw(_lattice_bubbles(two_d))
+    d_max = draw(st.sampled_from([0.0, 1.0, 2.0, math.sqrt(2.0), 5.0, math.inf]))
+    crit = _crit(epsilon_small=3.0, epsilon_large=3.0, d_max=d_max,
+                 phi_max=draw(st.sampled_from([0.2, 1.0, 3.2])),
+                 alpha_max=draw(st.sampled_from([0.6, 1.0, 1.6])))
+    return a, b, _geom(2.0, 2.0), _geom(2.0, 2.0), crit, two_d
+
+
+class TestMatchCriteria:
+    @pytest.mark.parametrize("name", ["epsilon_small", "epsilon_large", "d_max",
+                                      "phi_max", "alpha_min", "alpha_max"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(DomainError):
+            MatchCriteria(**{name: math.nan})
+
+
+class TestBubble:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_centroid_rejected(self, bad):
+        with pytest.raises(DomainError):
+            Bubble(label=1, centroid=[1.0, bad, 2.0], voxel_volume=5)
+
+
+# two b bubbles tie with the a bubble on the whole sort key, at d_AB == d_max,
+# so the visiting order of the candidates decides which one is matched
+_TIED_B = [Bubble(label=1, centroid=[4, 3, 1], voxel_volume=2),
+           Bubble(label=1, centroid=[4, 1, 1], voxel_volume=2)]
+_TIED = ([Bubble(label=1, centroid=[4, 2, 0], voxel_volume=2)], _TIED_B,
+         _geom(2.0, 2.0), _geom(2.0, 2.0),
+         _crit(epsilon_small=3.0, epsilon_large=3.0, d_max=math.sqrt(2.0), phi_max=1.0,
+               alpha_max=1.0), False)
+
+
 class TestMatchBubbles:
+    @settings(max_examples=300, deadline=None)
+    @given(_matching_instances())
+    @example(_TIED)
+    @example((_TIED[0], _TIED_B[::-1], *_TIED[2:]))
+    def test_matches_all_pairs_oracle(self, inst):
+        # lattice centroids make d_AB == d_max occur; labels repeat
+        got = match_bubbles(*inst[:5], two_d=inst[5])
+        want = all_pairs_match(*inst)
+        key = lambda samples: [(s.position.tobytes(), s.displacement.tobytes())
+                               for s in samples]
+        assert key(got) == key(want)
+
+    def test_candidates_not_all_pairs(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pair_matches(*args)
+
+        monkeypatch.setattr(speckle, "pair_matches", counting)
+        grid = [(10.0 * i, 10.0 * j) for i in range(20) for j in range(20)]
+        a = [Bubble(label=k + 1, centroid=[x, y, 20.0], voxel_volume=50)
+             for k, (x, y) in enumerate(grid)]
+        b = [Bubble(label=k + 1, centroid=[x, y, 22.0], voxel_volume=50)
+             for k, (x, y) in enumerate(grid)]
+        crit = _crit(d_max=3.0, phi_max=3.2)
+        samples = match_bubbles(a, b, _geom(95.0, 95.0), _geom(95.0, 95.0), crit)
+        assert len(samples) == len(a)
+        assert len(calls) == len(a)  # all pairs would be 160,000
+
     def test_worked_example(self):
         a = [Bubble(label=1, centroid=[10.0, 10.0, 5.0], voxel_volume=100)]
         b = [Bubble(label=1, centroid=[10.0, 10.0, 8.0], voxel_volume=102)]
