@@ -110,6 +110,8 @@ class InversionConfig:
     def __post_init__(self):
         if self.stepsize not in _STEPSIZES:
             raise DomainError(f"stepsize must be one of {_STEPSIZES}")
+        if self.stepsize == "constant" and not 0 < self.omega < math.inf:
+            raise DomainError("constant stepsize omega must be finite and positive")
         if self.stopping not in _STOPPING:
             raise DomainError(f"stopping must be one of {_STOPPING}")
         if self.stopping == "discrepancy" and self.tau <= 1:
@@ -147,7 +149,10 @@ class InversionConfig:
         if m:
             cfg["stopping"], cfg["manual_k"] = "manual", int(m.group(1))
         mask = read_mask(mask_file) if read_mask and mask_file is not None else None
-        return cls(boundary_mask=mask, **cfg)
+        try:
+            return cls(boundary_mask=mask, **cfg)
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None
 
 
 @dataclass

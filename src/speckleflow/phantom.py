@@ -72,6 +72,12 @@ class PhantomSpec:
             raise SpecError("bubble sigma range must be positive and ordered")
         if self.noise_rel < 0:
             raise SpecError("noise_rel must be nonnegative")
+        if self.margin < 0:
+            raise SpecError("margin must be nonnegative")
+        if self.square_size < 1:
+            raise SpecError("square_size must be at least 1")
+        if not self.inclusion_radius >= 0:
+            raise SpecError("inclusion_radius must be nonnegative")
 
     @classmethod
     def from_config(cls, path) -> "PhantomSpec":

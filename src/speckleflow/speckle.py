@@ -124,52 +124,46 @@ class DisplacementSample:
 # detection
 
 
-def binarize_quantile(v: Volume, top_fraction: float) -> Volume:
-    """Keep the brightest ``top_fraction`` of voxels.
+def binarize_quantile(data: np.ndarray, top_fraction: float) -> np.ndarray:
+    """Boolean mask of the brightest ``top_fraction`` of voxels.
 
     The threshold is the (1 - top_fraction) quantile and the comparison is
     strict, so membership depends only on a voxel's value (equal values are
-    kept or dropped as a group) and a constant volume binarizes to all
-    zeros.
+    kept or dropped as a group) and a constant array binarizes to all
+    False.
     """
     if not 0.0 < top_fraction < 1.0:
         raise DomainError("top_fraction must lie strictly between 0 and 1")
-    threshold = np.quantile(v.data, 1.0 - top_fraction)
-    return Volume(v.nx, v.ny, v.nz, (v.data > threshold).astype(np.float64))
+    return data > np.quantile(data, 1.0 - top_fraction)
 
 
-def connected_components(v: Volume) -> Volume:
-    """Label connected groups of nonzero voxels.
+def connected_components(mask: np.ndarray) -> np.ndarray:
+    """Integer labels of the connected groups of nonzero voxels of an
+    (nz, ny, nx) mask.
 
     Uses 26-connectivity (8-connectivity in the nz = 1 case).  Labels run
     from 1 to K, ordered by each component's smallest linear voxel index
     (`ndimage.label` numbers components in raster order of their first
-    voxel), so the labeling is reproducible.
+    voxel), so the labeling is reproducible; background is 0.
     """
-    labels, _ = ndimage.label(v.data != 0, structure=np.ones((3, 3, 3), dtype=int))
-    return Volume(v.nx, v.ny, v.nz, labels.astype(np.float64))
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=int))
+    return labels
 
 
-def extract_bubbles(labels: Volume, min_voxels: int) -> BubbleSet:
-    """Turn a labeled volume into bubbles, dropping components smaller than
-    ``min_voxels``.  Centroids are arithmetic means of member voxel
-    coordinates in (x, y, z) order."""
-    lab = labels.data.astype(np.int64)
-    count = int(lab.max())
-    if count == 0:
-        return []
-    sizes = np.bincount(lab.ravel(), minlength=count + 1)
-    zz, yy, xx = np.nonzero(lab)
-    vals = lab[zz, yy, xx]
-    sx = np.bincount(vals, weights=xx, minlength=count + 1)
-    sy = np.bincount(vals, weights=yy, minlength=count + 1)
-    sz = np.bincount(vals, weights=zz, minlength=count + 1)
-    bubbles = []
-    for k in range(1, count + 1):
-        if sizes[k] >= min_voxels and sizes[k] > 0:
-            c = np.array([sx[k], sy[k], sz[k]]) / sizes[k]
-            bubbles.append(Bubble(label=k, centroid=c, voxel_volume=int(sizes[k])))
-    return bubbles
+def extract_bubbles(labels: np.ndarray, min_voxels: int) -> BubbleSet:
+    """Turn an (nz, ny, nx) integer label array into bubbles, dropping
+    components smaller than ``min_voxels``.  Centroids are arithmetic means
+    of member voxel coordinates in (x, y, z) order."""
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0  # background
+    zz, yy, xx = np.nonzero(labels)
+    vals = labels[zz, yy, xx]
+    keep = np.flatnonzero(sizes >= max(min_voxels, 1))
+    sums = np.column_stack([np.bincount(vals, weights=w, minlength=sizes.size)[keep]
+                            for w in (xx, yy, zz)])
+    centroids = sums / sizes[keep, None]
+    return [Bubble(label=int(k), centroid=c, voxel_volume=int(sizes[k]))
+            for k, c in zip(keep, centroids)]
 
 
 def _boundary_points(mask: np.ndarray):
@@ -312,21 +306,13 @@ def match_bubbles(a: BubbleSet, b: BubbleSet, geom_a: CylinderGeometry,
     return samples
 
 
-def _lateral_mask(binary: Volume) -> np.ndarray:
-    """Project the binarized volume along z for lateral segmentation."""
-    return (binary.data != 0).any(axis=0)
-
-
 def detect(v: Volume, crit: MatchCriteria, top_fraction: float,
            presmooth_sigma: float):
     """Detection half of the pipeline: returns (bubbles, geometry)."""
-    norm = normalize_intensity(v, log_scale=False)
-    smooth = gaussian_filter(norm, presmooth_sigma)
-    binary = binarize_quantile(smooth, top_fraction)
-    labels = connected_components(binary)
-    bubbles = extract_bubbles(labels, crit.min_voxels)
-    geometry = fit_circle(_lateral_mask(binary))
-    return bubbles, geometry
+    smooth = gaussian_filter(normalize_intensity(v, log_scale=False), presmooth_sigma)
+    mask = binarize_quantile(smooth.data, top_fraction)
+    bubbles = extract_bubbles(connected_components(mask), crit.min_voxels)
+    return bubbles, fit_circle(mask.any(axis=0))
 
 
 def run_tracking(v1: Volume, v2: Volume, crit: MatchCriteria,
@@ -336,10 +322,16 @@ def run_tracking(v1: Volume, v2: Volume, crit: MatchCriteria,
 
     Each volume is normalized, smoothed, binarized and decomposed into
     bubbles; the per-volume circle fit supplies the axis estimate, and the
-    surviving bubbles are matched.  All-zero volumes yield no samples.
+    surviving bubbles are matched.  All-zero volumes yield no samples; the
+    settings are checked first, so a featureless pair rejects the same bad
+    settings as a textured one.
     """
     if (v1.nx, v1.ny, v1.nz) != (v2.nx, v2.ny, v2.nz):
         raise ShapeMismatch("volumes must share extents")
+    if not 0.0 < top_fraction < 1.0:
+        raise DomainError("top_fraction must lie strictly between 0 and 1")
+    if not 0.0 <= presmooth_sigma < math.inf:
+        raise DomainError("presmooth_sigma must be finite and nonnegative")
     two_d = v1.nz == 1
     try:
         bubbles1, geom1 = detect(v1, crit, top_fraction, presmooth_sigma)

@@ -100,8 +100,11 @@ class TestExitCodes:
         ("flow", "alpha = nan\n"),
         ("invert", "stopping = discrepancy\ntau = nan\n"),
         ("invert", "stepsize = constant(nan)\n"),
+        ("invert", "stepsize = constant(-1)\n"),
+        ("invert", "stepsize = constant(0)\n"),
     ], ids=["synth", "track", "flow", "flow-binary", "invert", "synth-inf",
-            "track-nan", "flow-nan", "invert-nan", "invert-omega-nan"])
+            "track-nan", "flow-nan", "invert-nan", "invert-omega-nan",
+            "invert-omega-negative", "invert-omega-zero"])
     def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
                                                command, text):
         image = tmp_path / "i.f64grid"

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,13 @@ class TestConfigAndTrace:
     def test_invalid_stepsize_rejected(self):
         with pytest.raises(DomainError):
             InversionConfig(stepsize="bogus")
+
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+    def test_constant_stepsize_needs_finite_positive_omega(self, omega):
+        # omega = -1 ascended the residual and omega = 0 never moved
+        with pytest.raises(DomainError):
+            InversionConfig(stepsize="constant", omega=omega)
+        InversionConfig(stepsize="steepest", omega=omega)  # omega unused
 
     def test_tau_validation_for_discrepancy(self):
         with pytest.raises(DomainError):

@@ -189,3 +189,21 @@ class TestPhantomConfig:
     def test_inclusion_without_bubbles_rejected(self):
         with pytest.raises(SpecError):
             PhantomSpec(kind="inclusion", bubble_count=0)
+
+    @pytest.mark.parametrize("margin", [-1, -10])
+    def test_negative_margin_rejected(self, margin):
+        # margin = -10 on a 40x40 grid used to place bubble centers at x = -9
+        with pytest.raises(SpecError):
+            PhantomSpec(kind="inclusion", nx=40, ny=40, margin=margin)
+
+    @pytest.mark.parametrize("radius", [-5.0, -1e-9, float("nan")])
+    def test_negative_inclusion_radius_rejected(self, radius):
+        # the disk test d^2 <= r^2 would build the same inclusion as |r|
+        with pytest.raises(SpecError):
+            PhantomSpec(kind="inclusion", inclusion_radius=radius)
+
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_square_size_below_one_rejected(self, size):
+        # such a spec rendered no squares and a zero true flow
+        with pytest.raises(SpecError):
+            PhantomSpec(kind="moving_squares", square_size=size)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from speckleflow import speckle
-from speckleflow.errors import DomainError, FitError, FormatError
-from speckleflow.grids import Volume
+from speckleflow.errors import ConstantField, DomainError, FitError, FormatError
+from speckleflow.grids import Volume, gaussian_filter, normalize_intensity
 from speckleflow.speckle import (Bubble, CylinderGeometry, DisplacementSample,
                                  MatchCriteria, binarize_quantile,
                                  connected_components, extract_bubbles,
@@ -45,6 +48,30 @@ def flood_fill_labels(mask: np.ndarray) -> np.ndarray:
                             labels[pz, py, px] = next_label
                             stack.append((pz, py, px))
     return labels
+
+
+def float_coded_detect(v, crit, top_fraction, presmooth_sigma):
+    """Detection as done with float-coded volumes: a float 0/1 mask, a float
+    label volume, and its int64 cast read label by label."""
+    smooth = gaussian_filter(normalize_intensity(v, log_scale=False), presmooth_sigma)
+    threshold = np.quantile(smooth.data, 1.0 - top_fraction)
+    binary = Volume(v.nx, v.ny, v.nz, (smooth.data > threshold).astype(np.float64))
+    labels, _ = ndimage.label(binary.data != 0, structure=np.ones((3, 3, 3), dtype=int))
+    lab = Volume(v.nx, v.ny, v.nz, labels.astype(np.float64)).data.astype(np.int64)
+    count = int(lab.max())
+    bubbles = []
+    if count:
+        sizes = np.bincount(lab.ravel(), minlength=count + 1)
+        zz, yy, xx = np.nonzero(lab)
+        vals = lab[zz, yy, xx]
+        sx = np.bincount(vals, weights=xx, minlength=count + 1)
+        sy = np.bincount(vals, weights=yy, minlength=count + 1)
+        sz = np.bincount(vals, weights=zz, minlength=count + 1)
+        for k in range(1, count + 1):
+            if sizes[k] >= crit.min_voxels and sizes[k] > 0:
+                c = np.array([sx[k], sy[k], sz[k]]) / sizes[k]
+                bubbles.append(Bubble(label=k, centroid=c, voxel_volume=int(sizes[k])))
+    return bubbles, fit_circle((binary.data != 0).any(axis=0))
 
 
 def circle_through_three(p1, p2, p3):
@@ -91,39 +118,36 @@ def all_pairs_match(a, b, geom_a, geom_b, crit, two_d=False):
 class TestBinarize:
     def test_two_largest_of_ten(self):
         vals = np.arange(0.1, 1.05, 0.1).reshape(1, 2, 5)
-        out = binarize_quantile(Volume.from_array(vals[0]), 0.2)
+        out = binarize_quantile(vals, 0.2)
         # sort-based oracle: exactly the 2 largest survive
         thresh_rank = np.sort(vals.ravel())[-2]
-        expected = (vals[0] >= thresh_rank).astype(float)
-        np.testing.assert_array_equal(out.data[0], expected)
-        assert out.data.sum() == 2
+        assert out.dtype == bool
+        np.testing.assert_array_equal(out, vals >= thresh_rank)
+        assert out.sum() == 2
 
     def test_constant_all_zero(self):
-        out = binarize_quantile(Volume.from_array(np.full((4, 4), 2.0)), 0.01)
-        assert out.data.sum() == 0
+        assert not binarize_quantile(np.full((1, 4, 4), 2.0), 0.01).any()
 
     def test_quantile_arithmetic_1000(self):
         rng = np.random.default_rng(0)
         vals = rng.permutation(np.linspace(0.0, 1.0, 1000)).reshape(10, 10, 10)
-        out = binarize_quantile(Volume.from_array(vals), 0.005)
-        assert out.data.sum() == 5
+        out = binarize_quantile(vals, 0.005)
+        assert out.sum() == 5
         top5 = np.sort(vals.ravel())[-5:]
-        assert np.all(np.isin(vals[out.data.astype(bool)], top5))
+        assert np.all(np.isin(vals[out], top5))
 
     def test_degenerate_fraction(self):
-        v = Volume.from_array(np.random.default_rng(1).random((3, 3)))
+        vals = np.random.default_rng(1).random((1, 3, 3))
         for f in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
-                binarize_quantile(v, f)
+                binarize_quantile(vals, f)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31), st.floats(0.01, 0.5))
     def test_count_bound_and_group_ties(self, seed, frac):
         rng = np.random.default_rng(seed)
         vals = rng.integers(0, 10, size=(4, 4, 4)).astype(float)
-        v = Volume.from_array(vals)
-        out = binarize_quantile(v, frac)
-        ones = out.data.astype(bool)
+        ones = binarize_quantile(vals, frac)
         # ties at a value are kept or dropped as a whole group
         if ones.any():
             kept_min = vals[ones].min()
@@ -132,60 +156,109 @@ class TestBinarize:
 
 class TestConnectedComponents:
     def test_two_isolated_voxels(self):
-        m = np.zeros((1, 5, 5))
-        m[0, 0, 0] = m[0, 4, 4] = 1
-        labels = connected_components(Volume.from_array(m[0]))
-        assert labels.data.max() == 2
+        m = np.zeros((1, 5, 5), dtype=bool)
+        m[0, 0, 0] = m[0, 4, 4] = True
+        labels = connected_components(m)
+        assert labels.dtype.kind == "i"
+        assert labels.max() == 2
 
     def test_diagonal_touch_is_connected(self):
-        m = np.zeros((3, 3, 3))
-        m[0, 0, 0] = m[1, 1, 1] = 1
-        labels = connected_components(Volume(3, 3, 3, m))
-        assert labels.data.max() == 1
+        m = np.zeros((3, 3, 3), dtype=bool)
+        m[0, 0, 0] = m[1, 1, 1] = True
+        assert connected_components(m).max() == 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31))
     def test_matches_flood_fill_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        mask = (rng.random((6, 6, 6)) < 0.3).astype(float)
-        got = connected_components(Volume(6, 6, 6, mask)).data.astype(int)
-        want = flood_fill_labels(mask)
-        np.testing.assert_array_equal(got, want)
+        mask = rng.random((6, 6, 6)) < 0.3
+        np.testing.assert_array_equal(connected_components(mask), flood_fill_labels(mask))
 
     def test_16cubed_random(self):
         rng = np.random.default_rng(7)
-        mask = (rng.random((16, 16, 16)) < 0.2).astype(float)
-        got = connected_components(Volume(16, 16, 16, mask)).data.astype(int)
-        np.testing.assert_array_equal(got, flood_fill_labels(mask))
+        mask = rng.random((16, 16, 16)) < 0.2
+        np.testing.assert_array_equal(connected_components(mask), flood_fill_labels(mask))
 
 
 class TestExtractBubbles:
     def test_block_centroid(self):
-        m = np.zeros((1, 4, 4))
-        m[0, 0:2, 0:2] = 1
-        labels = connected_components(Volume.from_array(m[0]))
-        bubbles = extract_bubbles(labels, min_voxels=1)
+        m = np.zeros((1, 4, 4), dtype=bool)
+        m[0, 0:2, 0:2] = True
+        bubbles = extract_bubbles(connected_components(m), min_voxels=1)
         assert len(bubbles) == 1
         np.testing.assert_allclose(bubbles[0].centroid, [0.5, 0.5, 0.0])
         assert bubbles[0].voxel_volume == 4
 
     def test_min_voxels_floor(self):
-        m = np.zeros((5, 5, 5))
-        m.ravel()[:79] = 1  # one raster-connected run of 79 voxels
-        labels = connected_components(Volume(5, 5, 5, m))
+        m = np.zeros((5, 5, 5), dtype=bool)
+        m.ravel()[:79] = True  # one raster-connected run of 79 voxels
+        labels = connected_components(m)
         assert extract_bubbles(labels, min_voxels=80) == []
         assert len(extract_bubbles(labels, min_voxels=79)) == 1
 
+    def test_no_components(self):
+        assert extract_bubbles(np.zeros((2, 3, 3), dtype=np.int32), min_voxels=0) == []
+
     def test_volumes_match_oracle_counts(self):
         rng = np.random.default_rng(11)
-        mask = (rng.random((12, 12, 12)) < 0.25).astype(float)
-        labels = connected_components(Volume(12, 12, 12, mask))
-        bubbles = extract_bubbles(labels, min_voxels=1)
+        mask = rng.random((12, 12, 12)) < 0.25
+        bubbles = extract_bubbles(connected_components(mask), min_voxels=1)
         oracle = flood_fill_labels(mask)
         counts = np.bincount(oracle.ravel())
         for b in bubbles:
             assert b.voxel_volume == counts[b.label]
         assert len(bubbles) == oracle.max()
+
+
+@st.composite
+def _integer_volumes(draw):
+    nz = draw(st.sampled_from([1, 1, 2, 3, 5]))  # nz = 1, the 2-D case, twice as often
+    shape = (nz, draw(st.integers(3, 12)), draw(st.integers(3, 12)))
+    vals = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 4)))
+    return Volume.from_array(vals)
+
+
+def _render_blobs(shape, centers, sigma=1.6):
+    """Volume of unit-height Gaussian blobs at (x, y, z) centers."""
+    nz, ny, nx = shape
+    zz, yy, xx = np.mgrid[0:nz, 0:ny, 0:nx].astype(float)
+    img = np.zeros(shape)
+    for cx, cy, cz in centers:
+        img += np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2 + (zz - cz) ** 2) / (2 * sigma ** 2))
+    return Volume(nx, ny, nz, img)
+
+
+class TestDetect:
+    @settings(max_examples=300, deadline=None)
+    @given(_integer_volumes(), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+           st.sampled_from([0.0, 0.5, 0.9]), st.integers(0, 4))
+    def test_matches_float_coded_oracle(self, v, top_fraction, sigma, min_voxels):
+        # few distinct integer values, so the quantile threshold often ties
+        crit = MatchCriteria(min_voxels=min_voxels)
+
+        def outcome(fn):
+            try:
+                bubbles, geom = fn(v, crit, top_fraction, sigma)
+            except (ConstantField, FitError) as exc:
+                return type(exc)
+            return ([(b.label, b.centroid.tobytes(), b.voxel_volume) for b in bubbles],
+                    geom.center_xy.tobytes(), np.float64(geom.radius).tobytes())
+
+        assert outcome(speckle.detect) == outcome(float_coded_detect)
+
+    def test_peak_memory(self):
+        # the float-coded path held a float 0/1 mask, float labels and their
+        # int64 cast next to the smoothed copy: about 5x the input's bytes
+        centers = np.random.default_rng(2).uniform((4, 4, 4), (60, 60, 28), size=(40, 3))
+        v = _render_blobs((32, 64, 64), centers)
+        tracemalloc.start()
+        try:
+            bubbles, _ = speckle.detect(v, MatchCriteria(), 0.02, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bubbles
+        assert peak <= 4 * v.data.nbytes
 
 
 class TestFitCircle:
@@ -404,18 +477,8 @@ class TestRunTracking:
                 continue
             centers.append(c)
         centers = np.array(centers)
-
-        def render(cs):
-            zz, yy, xx = np.mgrid[0:nz, 0:ny, 0:nx].astype(float)
-            img = np.zeros((nz, ny, nx))
-            for cx, cy, cz in cs:
-                img += np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2
-                                + (zz - cz) ** 2) / (2 * 1.6 ** 2))
-            return img
-
-        v1 = Volume(nx, ny, nz, render(centers))
-        moved = centers + [0.0, 0.0, shift_z]
-        v2 = Volume(nx, ny, nz, render(moved))
+        v1 = _render_blobs((nz, ny, nx), centers)
+        v2 = _render_blobs((nz, ny, nx), centers + [0.0, 0.0, shift_z])
         return v1, v2, centers
 
     def test_axial_translation_recovered(self):
@@ -431,6 +494,23 @@ class TestRunTracking:
     def test_empty_volumes(self):
         z = Volume(8, 8, 4, np.zeros((4, 8, 8)))
         assert run_tracking(z, z, MatchCriteria()) == []
+
+    @pytest.mark.parametrize("textured", [False, True], ids=["flat", "textured"])
+    @pytest.mark.parametrize("kw", [
+        dict(top_fraction=0.0), dict(top_fraction=1.0), dict(top_fraction=1.5),
+        dict(top_fraction=math.nan), dict(presmooth_sigma=-1.0),
+        dict(presmooth_sigma=math.nan), dict(presmooth_sigma=math.inf),
+    ], ids=["top-0", "top-1", "top-1.5", "top-nan", "sigma-neg", "sigma-nan", "sigma-inf"])
+    def test_bad_settings_rejected_before_detection(self, monkeypatch, textured, kw):
+        # a flat pair used to return [] where a textured one raised
+        v = self._translation_phantom()[0] if textured else Volume(8, 8, 4, np.zeros((4, 8, 8)))
+
+        def no_detection(*args):
+            raise AssertionError("detection ran")
+
+        monkeypatch.setattr(speckle, "detect", no_detection)
+        with pytest.raises(DomainError):
+            run_tracking(v, v, MatchCriteria(), **kw)
 
     def test_moving_squares_sample_cap(self):
         from speckleflow.phantom import PhantomSpec, make_moving_squares
