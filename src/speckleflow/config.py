@@ -8,16 +8,18 @@ schemas passed in: a dataclass contributes its `int`, `float`, `str` and
 and a `{key: type}` dict adds keys that are not fields.  Booleans are
 written 1/true/yes/on or 0/false/no/off.  An unknown key, a duplicate key or
 a value that does not convert (floats must be finite) raises `FormatError`
-naming the file and line.  `read_text` and `finite_float` are shared with
-the package's other text readers.
+naming the file and line; a value that converts but fails its dataclass's
+check is reported with the file's path too (`naming_path`).  `read_text`
+and `finite_float` are shared with the package's other text readers.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-from .errors import FormatError
+from .errors import DomainError, FormatError, SpecError
 
 _TYPES = {t.__name__: t for t in (int, float, str, bool)}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -82,3 +84,13 @@ def read_config(path, what: str, *schemas) -> dict:
             kind = "finite float" if typ is float else typ.__name__
             raise FormatError(f"{where}: '{key}' must be {kind}, got '{raw}'") from None
     return out
+
+
+@contextmanager
+def naming_path(path):
+    """Prefix `path` to a `DomainError` or `SpecError` raised inside, such as
+    a config value failing its dataclass's check."""
+    try:
+        yield
+    except (DomainError, SpecError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -22,14 +22,16 @@ exact transpose of the derivative under those pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .config import finite_float, read_text
-from .errors import DivisionByZero, DomainError, FormatError, ShapeMismatch, SingularSystem
+from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
+                     ShapeMismatch, SingularSystem)
 from .grids import ScalarGrid, VectorGrid
-from .linsolve import GridFactor, grid_order
+from .linsolve import GridFactor, grid_order, solve_near
 
 __all__ = [
     "LameField",
@@ -39,6 +41,7 @@ __all__ = [
     "frechet_adjoint",
     "young_modulus",
     "ElasticModel",
+    "ReducedSystem",
     "read_bc_config",
     "write_bc_config",
 ]
@@ -139,12 +142,21 @@ def _element_matrices(h):
     return k_lam, k_mu
 
 
+class ReducedSystem(NamedTuple):
+    """Stiffness on the free DOFs and the forward right-hand side (load
+    minus the Dirichlet lift's reaction) of one Lame field."""
+
+    K_ff: sp.csc_matrix
+    rhs: np.ndarray
+
+
 class ElasticModel:
     """Discretization of one boundary-value problem.
 
     Holds the grid geometry, the Dirichlet partition, the lift and the load
     vector; stiffness assembly and factorization are per Lame field so the
-    factorization can be reused for the derivative and adjoint solves.
+    factorization can be reused for the derivative and adjoint solves, and
+    to precondition the forward solve of a nearby Lame field.
     """
 
     def __init__(self, nx, ny, bc: BoundaryConditions, spacing=1.0):
@@ -161,7 +173,9 @@ class ElasticModel:
         n11 = idx[1:, 1:].ravel()
         n01 = idx[1:, :-1].ravel()
         self.cell_nodes = np.stack([n00, n10, n11, n01], axis=1)
-        dofs = np.empty((self.cell_nodes.shape[0], 8), dtype=np.int64)
+        # int32 halves these index arrays and is the index type scipy
+        # builds the stiffness with, so assembly converts nothing
+        dofs = np.empty((self.cell_nodes.shape[0], 8), dtype=np.int32)
         dofs[:, 0::2] = 2 * self.cell_nodes
         dofs[:, 1::2] = 2 * self.cell_nodes + 1
         self.cell_dofs = dofs
@@ -234,41 +248,63 @@ class ElasticModel:
     def assemble(self, p: LameField) -> sp.csc_matrix:
         lam_e = self.cell_values(p.lam.data)
         mu_e = self.cell_values(p.mu.data)
-        data = (lam_e[:, None, None] * self.k_lam_e
-                + mu_e[:, None, None] * self.k_mu_e).ravel()
-        K = sp.csr_matrix((data, (self._rows, self._cols)),
+        # in place, and freed before the conversions: at 200x200 each
+        # element-data array is 20 MB, and an inversion assembles while a
+        # factorization is alive
+        data = lam_e[:, None, None] * self.k_lam_e
+        data += mu_e[:, None, None] * self.k_mu_e
+        K = sp.csr_matrix((data.ravel(), (self._rows, self._cols)),
                           shape=(2 * self.n_nodes, 2 * self.n_nodes))
+        del data
         K.sum_duplicates()
         return K.tocsc()
 
-    def factorize(self, p: LameField) -> "ElasticFactors":
+    def reduce(self, p: LameField) -> ReducedSystem:
+        """The forward problem of p on the free DOFs: K_ff x = load - K lift."""
         K = self.assemble(p)
-        K_ff = K[self.free][:, self.free]
+        return ReducedSystem(K[self.free][:, self.free],
+                             (self.load - K @ self.lift)[self.free])
+
+    def factorize(self, p: LameField | ReducedSystem) -> "ElasticFactors":
+        """Factorized stiffness of p, or of a reduced system already assembled."""
+        system = p if isinstance(p, ReducedSystem) else self.reduce(p)
         try:
-            lu = GridFactor(K_ff, self.order)
+            lu = GridFactor(system.K_ff, self.order)
         except RuntimeError as exc:
             raise SingularSystem(f"stiffness factorization failed: {exc}")
-        return ElasticFactors(self, K, K_ff, lu)
+        return ElasticFactors(self, system, lu)
 
 
 class ElasticFactors:
     """Factorized stiffness for one Lame field; supports the forward solve
     and any number of homogeneous-Dirichlet solves."""
 
-    def __init__(self, model: ElasticModel, K, K_ff, lu):
+    def __init__(self, model: ElasticModel, system: ReducedSystem, lu):
         self.model = model
-        self.K = K
-        self.K_ff = K_ff
+        self.system = system
         self._lu = lu
 
-    def solve_forward(self) -> VectorGrid:
+    def solve_forward(self, system: ReducedSystem | None = None) -> VectorGrid:
+        """Displacement for this factor's Lame field.
+
+        Given the reduced system of a nearby Lame field instead, returns
+        that field's displacement: conjugate gradients preconditioned with
+        this factor, or a fresh factorization (built while this one is
+        still alive) when CG hits its iteration cap.
+        """
         m = self.model
-        rhs = (m.load - self.K @ m.lift)[m.free]
-        x = self._lu.solve(rhs)
+        if system is None:
+            system = self.system
+            x = self._lu.solve(system.rhs)
+        else:
+            try:
+                x = solve_near(system.K_ff, system.rhs, self._lu)
+            except NotConverged:
+                return m.factorize(system).solve_forward()
         if not np.all(np.isfinite(x)):
             raise SingularSystem("forward solve produced non-finite values")
-        rnorm = np.linalg.norm(self.K_ff @ x - rhs)
-        scale = np.linalg.norm(rhs)
+        rnorm = np.linalg.norm(system.K_ff @ x - system.rhs)
+        scale = np.linalg.norm(system.rhs)
         if scale > 0 and rnorm > 1e-10 * scale:
             raise SingularSystem(f"reduced residual {rnorm / scale:.2e} too large")
         u = m.lift.copy()

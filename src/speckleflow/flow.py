@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import read_config
+from .config import naming_path, read_config
 from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong
 from .linsolve import GridFactor, grid_order
@@ -89,7 +89,9 @@ class FlowParams:
 
     @classmethod
     def from_config(cls, path) -> "FlowParams":
-        return cls(**read_config(path, "flow", cls))
+        cfg = read_config(path, "flow", cls)
+        with naming_path(path):
+            return cls(**cfg)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import finite_float, read_config, read_text
+from .config import finite_float, naming_path, read_config, read_text
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid
@@ -149,10 +149,8 @@ class InversionConfig:
         if m:
             cfg["stopping"], cfg["manual_k"] = "manual", int(m.group(1))
         mask = read_mask(mask_file) if read_mask and mask_file is not None else None
-        try:
+        with naming_path(path):
             return cls(boundary_mask=mask, **cfg)
-        except DomainError as exc:
-            raise DomainError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -245,13 +243,16 @@ def _stepsize(cfg: InversionConfig, factors, u, r_data, s_lam, s_mu, h: float):
     return s_sq / fs_sq
 
 
+def _lame(model: ElasticModel, point, h) -> LameField:
+    lam, mu = point
+    return LameField(ScalarGrid(model.nx, model.ny, lam, h),
+                     ScalarGrid(model.nx, model.ny, mu, h))
+
+
 def _evaluate(model: ElasticModel, point, udelta_data, h):
     """Factorize at point = (lam, mu) and solve forward.  Returns
     (factors, u, r) with r = u - udelta the data residual."""
-    lam, mu = point
-    p = LameField(ScalarGrid(model.nx, model.ny, lam, h),
-                  ScalarGrid(model.nx, model.ny, mu, h))
-    factors = model.factorize(p)
+    factors = model.factorize(_lame(model, point, h))
     u = factors.solve_forward()
     return factors, u, u.data - udelta_data
 
@@ -283,10 +284,8 @@ def landweber_step(p: LameField, udelta: VectorGrid, bc: BoundaryConditions,
     model = ElasticModel(p.lam.nx, p.lam.ny, bc, h)
     point = (p.lam.data, p.mu.data)
     factors, u, r = _evaluate(model, point, udelta.data, h)
-    (lam, mu), omega = _step(model, cfg, point, factors, u, r, h)
-    out = LameField(ScalarGrid(model.nx, model.ny, lam, h),
-                    ScalarGrid(model.nx, model.ny, mu, h))
-    return out, omega, field_norm(r, h)
+    new, omega = _step(model, cfg, point, factors, u, r, h)
+    return _lame(model, new, h), omega, field_norm(r, h)
 
 
 def _kept_k(stopping: str, trace: IterationTrace) -> int:
@@ -306,9 +305,13 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
 
     With acceleration the update is taken from the extrapolated point
     p_k + (k-1)/(k+2) (p_k - p_{k-1}) and the stepsize is computed there;
-    the trace still records residuals at the primary iterates.  With
-    acceleration off this is exactly the plain Landweber loop.  If the
-    stopping rule does not trigger within max_iter, the best-so-far iterate
+    the trace still records residuals at the primary iterates.  Past the
+    first step, an iterate's residual comes from conjugate gradients on its
+    stiffness, preconditioned with the factorization of the extrapolated
+    point (of the last one, for the final iterate), so each step costs one
+    factorization.  With acceleration off this is exactly the plain
+    Landweber loop, with a factorization at every iterate.  If the stopping
+    rule does not trigger within max_iter, the best-so-far iterate
     (smallest residual; heuristic argmin for heuristic stopping) is
     returned and the trace is flagged 'max_iter'.
     """
@@ -325,22 +328,36 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     n_steps = min(cfg.manual_k if cfg.stopping == "manual" else cfg.max_iter,
                   cfg.max_iter)
 
-    # each `del factors` drops a factorization before the next one is built,
-    # so at most one is held at a time
+    # `factors` is dropped before the next factorization is built, so at
+    # most one is held at a time.  Before k = n, the iterate's reduced system
+    # is assembled while none is held, so the assembly's temporaries never
+    # add to a live factor's memory, and it is dropped once solved.
+    factors = None
     for k in range(n_steps + 1):
-        factors, u, r = _evaluate(model, cur, udelta.data, h)
-        rnorm = field_norm(r, h)
+        # past the first step an accelerated run factorizes only the
+        # extrapolated point, and the iterate's residual comes from CG
+        # preconditioned with that factor (at k = n, with the last step's)
+        near = cfg.acceleration and k >= 1
+        if not near or k < n_steps:
+            factors = None
+        if near:
+            system = model.reduce(_lame(model, cur, h))
+        else:
+            factors, u, r = _evaluate(model, cur, udelta.data, h)
         new, omega = cur, math.nan
         if k < n_steps:
-            alpha = nesterov_alpha(k + 1) if cfg.acceleration else 0.0
             bar = cur
-            if alpha != 0.0:
-                del factors
+            if near:
+                alpha = nesterov_alpha(k + 1)
                 bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
                                cur[1] + alpha * (cur[1] - prev[1]))
                 factors, u, r = _evaluate(model, bar, udelta.data, h)
             new, omega = _step(model, cfg, bar, factors, u, r, h)
-        del factors
+        if near:
+            u = factors.solve_forward(system)
+            r = u.data - udelta.data
+            del system
+        rnorm = field_norm(r, h)
 
         trace.append(k, rnorm, omega)
         if _kept_k(cfg.stopping, trace) == k:
@@ -354,9 +371,7 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
         trace.k_star = _kept_k(cfg.stopping, trace)
 
     lam, mu = kept
-    result = LameField(ScalarGrid(nx, ny, lam.copy(), h),
-                       ScalarGrid(nx, ny, mu.copy(), h))
-    return result, trace
+    return _lame(model, (lam.copy(), mu.copy()), h), trace
 
 
 # ---------------------------------------------------------------------------

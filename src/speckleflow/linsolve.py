@@ -15,6 +15,12 @@ given and pivots on the diagonal.  Both matrices are positive semidefinite
 by construction, so a zero pivot or an inaccurate solve means the matrix is
 singular; callers detect that from the `RuntimeError` SuperLU raises and
 from the residual of their solve.
+
+A factor also serves matrices near the one it was built from: `solve_near`
+runs conjugate gradients on such a matrix with the factor as the
+preconditioner, which takes a handful of iterations where a fresh
+factorization would cost far more (Knoll & Keyes 2004, "Jacobian-free
+Newton-Krylov methods", on reusing a stale factorization as preconditioner).
 """
 
 from __future__ import annotations
@@ -23,10 +29,19 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["grid_order", "GridFactor"]
+from .errors import NotConverged
+
+__all__ = ["grid_order", "GridFactor", "solve_near"]
 
 # regions at most this many nodes across are numbered row by row
 _LEAF = 2
+
+# `solve_near` stops at this relative residual, which keeps its solutions
+# within about 1e-12 (relative) of a direct solve's
+_CG_RTOL = 1e-14
+# ... or gives up after this many iterations; a factor of a nearby matrix
+# needs a handful, and one that needs more is no longer near
+_CG_MAX_ITER = 50
 
 
 def _dissect(block: np.ndarray) -> list:
@@ -85,3 +100,35 @@ class GridFactor:
         x = np.empty_like(b, dtype=np.float64)
         x[self.perm] = self._lu.solve(b[self.perm])
         return x
+
+
+def solve_near(A: sp.spmatrix, b: np.ndarray, near: GridFactor) -> np.ndarray:
+    """Solve the SPD system A x = b by conjugate gradients preconditioned
+    with `near`, the factor of a matrix close to A, starting from
+    `near.solve(b)`.
+
+    Iterates until ||b - A x|| <= 1e-14 ||b|| (the recursively updated
+    residual) and raises `NotConverged` if that takes more than the
+    module's iteration cap.
+    """
+    # not `spla.cg`: it reports success when maxiter is 0 and does not test
+    # the residual after its last iteration, so the cap would not be exact
+    x = near.solve(b)
+    r = b - A @ x
+    tol = _CG_RTOL * np.linalg.norm(b)
+    p = rz = None
+    for _ in range(_CG_MAX_ITER):
+        if np.linalg.norm(r) <= tol:
+            break
+        z = near.solve(r)
+        rz_prev, rz = rz, r @ z
+        p = z if p is None else z + (rz / rz_prev) * p
+        q = A @ p
+        step = rz / (p @ q)
+        x += step * p
+        r -= step * q
+    rnorm = np.linalg.norm(r)
+    if not rnorm <= tol:
+        raise NotConverged(f"preconditioned cg hit the iteration cap ({_CG_MAX_ITER})",
+                           residual=rnorm / np.linalg.norm(b))
+    return x

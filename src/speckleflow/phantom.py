@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_config
+from .config import naming_path, read_config
 from .elastic import BoundaryConditions, LameField, forward_solve
 from .errors import SpecError
 from .grids import ScalarGrid, VectorGrid, bilinear_sample
@@ -94,7 +94,8 @@ class PhantomSpec:
         center = tuple(cfg.pop(k) for k in ("inclusion_cx", "inclusion_cy") if k in cfg)
         if len(center) == 1:
             raise SpecError(f"{path}: inclusion_cx and inclusion_cy must be given together")
-        return cls(inclusion_center=center or None, **cfg)
+        with naming_path(path):
+            return cls(inclusion_center=center or None, **cfg)
 
 
 def _rng(spec: PhantomSpec) -> np.random.Generator:

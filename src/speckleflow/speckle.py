@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .config import read_config, read_text
+from .config import naming_path, read_config, read_text
 from .errors import ConstantField, DomainError, FitError, FormatError, ShapeMismatch
 from .grids import Volume, gaussian_filter, normalize_intensity
 
@@ -315,6 +315,13 @@ def detect(v: Volume, crit: MatchCriteria, top_fraction: float,
     return bubbles, fit_circle(mask.any(axis=0))
 
 
+def _check_detection(top_fraction: float, presmooth_sigma: float) -> None:
+    if not 0.0 < top_fraction < 1.0:
+        raise DomainError("top_fraction must lie strictly between 0 and 1")
+    if not 0.0 <= presmooth_sigma < math.inf:
+        raise DomainError("presmooth_sigma must be finite and nonnegative")
+
+
 def run_tracking(v1: Volume, v2: Volume, crit: MatchCriteria,
                  top_fraction: float = 0.01,
                  presmooth_sigma: float = 0.9) -> list:
@@ -328,10 +335,7 @@ def run_tracking(v1: Volume, v2: Volume, crit: MatchCriteria,
     """
     if (v1.nx, v1.ny, v1.nz) != (v2.nx, v2.ny, v2.nz):
         raise ShapeMismatch("volumes must share extents")
-    if not 0.0 < top_fraction < 1.0:
-        raise DomainError("top_fraction must lie strictly between 0 and 1")
-    if not 0.0 <= presmooth_sigma < math.inf:
-        raise DomainError("presmooth_sigma must be finite and nonnegative")
+    _check_detection(top_fraction, presmooth_sigma)
     two_d = v1.nz == 1
     try:
         bubbles1, geom1 = detect(v1, crit, top_fraction, presmooth_sigma)
@@ -390,4 +394,6 @@ def tracking_config(path):
                       {"top_fraction": float, "presmooth_sigma": float})
     top_fraction = cfg.pop("top_fraction", 0.01)
     presmooth_sigma = cfg.pop("presmooth_sigma", 0.9)
-    return MatchCriteria(**cfg), top_fraction, presmooth_sigma
+    with naming_path(path):
+        _check_detection(top_fraction, presmooth_sigma)
+        return MatchCriteria(**cfg), top_fraction, presmooth_sigma

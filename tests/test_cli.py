@@ -102,9 +102,15 @@ class TestExitCodes:
         ("invert", "stepsize = constant(nan)\n"),
         ("invert", "stepsize = constant(-1)\n"),
         ("invert", "stepsize = constant(0)\n"),
+        ("synth", "margin = -1\n"),
+        ("track", "d_max = -1\n"),
+        ("track", "top_fraction = 1.5\n"),
+        ("flow", "levels = 0\n"),
     ], ids=["synth", "track", "flow", "flow-binary", "invert", "synth-inf",
             "track-nan", "flow-nan", "invert-nan", "invert-omega-nan",
-            "invert-omega-negative", "invert-omega-zero"])
+            "invert-omega-negative", "invert-omega-zero", "synth-margin-negative",
+            "track-d_max-negative", "track-top_fraction-above-1",
+            "flow-levels-zero"])
     def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
                                                command, text):
         image = tmp_path / "i.f64grid"

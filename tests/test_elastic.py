@@ -93,7 +93,7 @@ class TestForwardSolve:
             factors = model.factorize(p)
             u = factors.solve_forward()
             w = u.data.ravel() - model.lift
-            K = factors.K
+            K = model.assemble(p)
             lhs = float(w @ (K @ w))
             rhs = float(model.load @ w) - float(model.lift @ (K @ w))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR
+from speckleflow import linsolve
+from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR, forward_solve
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch
-from speckleflow.grids import VectorGrid
+from speckleflow.grids import ScalarGrid, VectorGrid
 from speckleflow.invert import (InversionConfig, IterationTrace,
-                                boundary_band_mask, field_error, landweber_step,
-                                nesterov_alpha, nesterov_iterate,
+                                boundary_band_mask, field_error, field_norm,
+                                landweber_step, nesterov_alpha, nesterov_iterate,
                                 read_trace_csv, stop_discrepancy,
                                 stop_heuristic, write_trace_csv)
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
@@ -23,6 +24,40 @@ def small_phantom(seed=0, n=24):
                        compression_px=2.0, inclusion_radius=n / 6.0,
                        seed=seed, margin=3)
     return make_inclusion_phantom(spec)
+
+
+def reference_accelerated_run(cfg, udelta, bc, steps):
+    """The accelerated loop with a factorization at every iterate and every
+    extrapolated point.  Returns (residuals, stepsizes, last iterate)."""
+    h = udelta.spacing
+    prev = p = cfg.initial_for(udelta.nx, udelta.ny, h)
+    residuals, stepsizes = [], []
+    for k in range(steps + 1):
+        u = forward_solve(p, bc)
+        residuals.append(field_norm(u.data - udelta.data, h))
+        if k == steps:
+            break
+        alpha = nesterov_alpha(k + 1)
+        lam = np.maximum(p.lam.data + alpha * (p.lam.data - prev.lam.data), 0.0)
+        mu = np.maximum(p.mu.data + alpha * (p.mu.data - prev.mu.data), MU_FLOOR)
+        bar = LameField(ScalarGrid(udelta.nx, udelta.ny, lam, h),
+                        ScalarGrid(udelta.nx, udelta.ny, mu, h))
+        new, omega, _ = landweber_step(bar, udelta, bc, cfg)
+        stepsizes.append(omega)
+        prev, p = p, new
+    return residuals, stepsizes, p
+
+
+def count_factorizations(monkeypatch) -> list:
+    calls = []
+    factorize = ElasticModel.factorize
+
+    def counted(self, p):
+        calls.append(p)
+        return factorize(self, p)
+
+    monkeypatch.setattr(ElasticModel, "factorize", counted)
+    return calls
 
 
 class TestLandweberStep:
@@ -120,14 +155,7 @@ class TestNesterov:
                            compression_px=2.0, inclusion_radius=3.0,
                            seed=0, margin=3)
         lame, bc, u_true, *_ = make_inclusion_phantom(spec)
-        calls = []
-        factorize = ElasticModel.factorize
-
-        def counted(self, p):
-            calls.append(p)
-            return factorize(self, p)
-
-        monkeypatch.setattr(ElasticModel, "factorize", counted)
+        calls = count_factorizations(monkeypatch)
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
                               stopping="manual", manual_k=6)
         result, trace = nesterov_iterate(cfg, u_true, bc)
@@ -137,9 +165,41 @@ class TestNesterov:
         np.testing.assert_allclose(result.lam.data, ref["lam"], rtol=1e-12)
         np.testing.assert_allclose(result.mu.data, ref["mu"], rtol=1e-12)
         assert (trace.stopped_by, trace.k_star) == ("manual", 6)
-        # step 1 is plain (one factorization), steps 2..6 factorize at the
-        # extrapolated point and at the iterate, plus the final iterate
-        assert len(calls) == 12
+        # one factorization per step: step 1 at the iterate, steps 2..6 at
+        # the extrapolated point; the iterates past the first get their
+        # residuals from CG preconditioned with that factor
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("seed, n", [(30, 16), (31, 18), (32, 20),
+                                         (33, 22), (34, 24)])
+    def test_accelerated_run_matches_reference_loop(self, seed, n):
+        # the iterates' residuals come from CG preconditioned with the
+        # extrapolated point's factor; every step is taken as before
+        lame, bc, u_true, *_ = small_phantom(seed, n=n)
+        steps = 6
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
+                              stopping="manual", manual_k=steps, max_iter=steps)
+        result, trace = nesterov_iterate(cfg, u_true, bc)
+        ref_res, ref_steps, p = reference_accelerated_run(cfg, u_true, bc, steps)
+        np.testing.assert_allclose(trace.residuals, ref_res, rtol=1e-12)
+        np.testing.assert_array_equal(trace.stepsizes[:steps], ref_steps)
+        np.testing.assert_array_equal(result.lam.data, p.lam.data)
+        np.testing.assert_array_equal(result.mu.data, p.mu.data)
+
+    def test_cg_at_its_cap_falls_back_to_factorizing(self, monkeypatch):
+        lame, bc, u_true, *_ = small_phantom(30, n=16)
+        steps = 6
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
+                              stopping="manual", manual_k=steps, max_iter=steps)
+        monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
+        calls = count_factorizations(monkeypatch)
+        result, trace = nesterov_iterate(cfg, u_true, bc)
+        # every iterate past the first is factorized afresh, as without CG
+        assert len(calls) == 2 * steps
+        ref_res, ref_steps, p = reference_accelerated_run(cfg, u_true, bc, steps)
+        np.testing.assert_array_equal(trace.residuals, ref_res)
+        np.testing.assert_array_equal(trace.stepsizes[:steps], ref_steps)
+        np.testing.assert_array_equal(result.mu.data, p.mu.data)
 
     def test_monotone_residuals_exact_data(self):
         # steepest descent on exact data: residual non-increasing

@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from speckleflow import linsolve
 from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField
+from speckleflow.errors import NotConverged
 from speckleflow.flow import FlowParams, assemble
 from speckleflow.grids import ScalarGrid, VectorGrid
-from speckleflow.linsolve import GridFactor, grid_order
+from speckleflow.linsolve import GridFactor, grid_order, solve_near
 
 extents = st.integers(min_value=2, max_value=40)
 
@@ -63,3 +66,38 @@ def test_elastic_style_solve(nx, ny, seed):
                   ScalarGrid(nx, ny, rng.uniform(0.1, 20.0, (ny, nx))))
     K = model.assemble(p)
     check_solve(K[free][:, free], grid_order(nx, ny, free), seed)
+
+
+def stiffness_and_nearby_factor(seed, change, n=20):
+    """Reduced stiffness of a random Lame field, and the factor of the
+    stiffness of that field scaled pointwise by up to 1 +- change."""
+    rng = np.random.default_rng(seed)
+    model = ElasticModel(n, n, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)]))
+    lam = rng.uniform(0.0, 10.0, (n, n))
+    mu = rng.uniform(0.1, 20.0, (n, n))
+
+    def reduced(scale):
+        p = LameField(ScalarGrid(n, n, lam * scale), ScalarGrid(n, n, mu * scale))
+        return model.reduce(p).K_ff
+
+    near = reduced(1.0 + change * rng.uniform(-1.0, 1.0, (n, n)))
+    return reduced(1.0), GridFactor(near, model.order), rng
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_near_converges_with_perturbed_factor(seed):
+    A, near, rng = stiffness_and_nearby_factor(seed, 0.1)
+    b = rng.standard_normal(A.shape[0])
+    x = solve_near(A, b, near)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    ref = spla.splu(A.tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_solve_near_reports_the_cap(monkeypatch, cap):
+    A, near, rng = stiffness_and_nearby_factor(0, 0.9)
+    monkeypatch.setattr(linsolve, "_CG_MAX_ITER", cap)
+    with pytest.raises(NotConverged, match="iteration cap") as info:
+        solve_near(A, rng.standard_normal(A.shape[0]), near)
+    assert info.value.residual > 1e-14
