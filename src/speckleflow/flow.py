@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .config import naming_path, read_config
 from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong
-from .linsolve import GridFactor, grid_order
+from .linsolve import COARSEST_NODES, GridFactor, GridMultigrid, grid_order, solve_near
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -68,6 +68,9 @@ class FlowParams:
     max_iter: int = 0  # 0 = automatic (10 * unknowns)
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "sigma_g", "sigma0", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise DomainError("alpha, beta, gamma must be nonnegative")
         if self.alpha + self.beta <= 0:
@@ -223,6 +226,22 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
                       constant=constant, translation=translation)
 
 
+def _solve_direct(sys: FlowSystem) -> np.ndarray:
+    """Solve to machine precision: by conjugate gradients preconditioned
+    with a multigrid V-cycle on grids of more than `COARSEST_NODES` nodes,
+    by factorization on smaller grids and whenever the V-cycle cannot be
+    built or the iteration hits its cap."""
+    if sys.nx * sys.ny > COARSEST_NODES:
+        try:
+            return solve_near(sys.matrix, sys.rhs, GridMultigrid(sys.matrix, sys.nx, sys.ny))
+        except (NotConverged, NotSPD):
+            pass  # the factorization below decides
+    try:
+        return GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
+    except RuntimeError as exc:
+        raise NotSPD(f"sparse factorization failed: {exc}")
+
+
 def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
     if not np.all(np.isfinite(sys.translation)):
         raise NotSPD("flow system has non-finite entries")
@@ -233,12 +252,9 @@ def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
     if not np.all(sys.matrix.diagonal() > 0):
         raise NotSPD("flow system is singular: an unknown enters no term")
     if p.solver == "direct":
-        try:
-            x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
-        except RuntimeError as exc:
-            raise NotSPD(f"sparse factorization failed: {exc}")
+        x = _solve_direct(sys)
         if not np.all(np.isfinite(x)):
-            raise NotSPD("sparse factorization produced non-finite values")
+            raise NotSPD("sparse solve produced non-finite values")
         rnorm = np.linalg.norm(sys.matrix @ x - sys.rhs)
         scale = np.linalg.norm(sys.rhs)
         if rnorm > 1e-10 * scale:

@@ -161,7 +161,10 @@ def normalize_intensity(v: Volume, log_scale: bool) -> Volume:
     hi = data.max()
     if hi == lo:
         raise ConstantField("cannot rescale a constant field to [0, 1]")
-    return Volume(v.nx, v.ny, v.nz, (data - lo) / (hi - lo))
+    # rescaled in place on the one copy of the input
+    out = np.subtract(data, lo, out=None if data is v.data else data)
+    out /= hi - lo
+    return Volume(v.nx, v.ny, v.nz, out)
 
 
 def _kernel_radius(sigma: float) -> int:
@@ -187,12 +190,15 @@ def gaussian_filter(v: Volume, sigma: float) -> Volume:
         raise DomainError("sigma must be nonnegative")
     if sigma == 0:
         return v.copy()
-    out = v.data
+    # the first pass allocates the output and the later ones overwrite it;
+    # each reads a whole line before writing it, so they may run in place
+    out = None
     r = _kernel_radius(sigma)
     for axis in range(3):
-        if out.shape[axis] > 1:
-            out = gaussian_filter1d(out, sigma, axis=axis, mode="reflect", radius=r)
-    return Volume(v.nx, v.ny, v.nz, out)
+        if v.data.shape[axis] > 1:
+            out = gaussian_filter1d(v.data if out is None else out, sigma, axis=axis,
+                                    output=out, mode="reflect", radius=r)
+    return Volume(v.nx, v.ny, v.nz, v.data.copy() if out is None else out)
 
 
 # ---------------------------------------------------------------------------

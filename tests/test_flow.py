@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speckleflow import flow, linsolve
 from speckleflow.errors import (DomainError, GridTooSmall, NotConverged, NotSPD,
                                ShapeMismatch)
 from speckleflow.flow import (FlowParams, _sample_fields, assemble,
                               evaluate_functional, gaussian_weight, gradient,
                               multiscale_flow, solve_flow)
 from speckleflow.grids import ScalarGrid, VectorGrid, spatial_gradient, temporal_difference
+from speckleflow.linsolve import COARSEST_NODES, GridFactor, grid_order, solve_near
 from speckleflow.speckle import DisplacementSample
 
 
@@ -409,8 +411,110 @@ class TestMultiscale:
         ref = np.load(Path(__file__).parent / "data" / "multiscale_24_levels3.npy")
         np.testing.assert_allclose(u.data, ref, rtol=0, atol=1e-12)
 
+    def test_three_levels_at_96_match_pinned_reference(self):
+        # the 96^2 and 48^2 levels are solved by multigrid-preconditioned cg;
+        # the reference was computed when every level was factorized
+        rng = np.random.default_rng(14)
+        n = 96
+        i1 = ScalarGrid(n, n, rng.random((n, n)))
+        i2 = ScalarGrid(n, n, rng.random((n, n)))
+        samples = [DisplacementSample(position=np.array([40.0, 55.0]),
+                                      displacement=np.array([0.6, -0.4])),
+                   DisplacementSample(position=np.array([70.0, 20.0]),
+                                      displacement=np.array([-0.3, 0.5]))]
+        p = FlowParams(alpha=0.8, beta=1.0, sigma_g=3.0, levels=3)
+        u = multiscale_flow(i1, i2, samples, p)
+        ref = np.load(Path(__file__).parent / "data" / "multiscale_96_levels3.npy")
+        np.testing.assert_allclose(u.data, ref, rtol=0, atol=1e-12)
+
+
+def structured_system(nx, ny, gamma, seed=0):
+    """Flow system of a smooth pattern shifted by one pixel, with samples."""
+    rng = np.random.default_rng(seed)
+    x, y = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
+    data = np.sin(x / 5.0) * np.cos(y / 7.0) + 0.05 * rng.random((ny, nx))
+    i1 = ScalarGrid(nx, ny, data)
+    i2 = ScalarGrid(nx, ny, np.roll(data, 1, axis=1))
+    samples = [DisplacementSample(position=rng.uniform(0, min(nx, ny) - 1, 2),
+                                  displacement=rng.standard_normal(2))
+               for _ in range(5)]
+    p = FlowParams(alpha=0.8, beta=1.0, sigma_g=3.0, gamma=gamma)
+    return assemble(spatial_gradient(i1), temporal_difference(i1, i2), samples, p), p
+
+
+class TestMultigrid:
+    """Levels of more than `COARSEST_NODES` nodes are solved by conjugate
+    gradients preconditioned with a multigrid V-cycle."""
+
+    @pytest.fixture
+    def cg_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_near(*args)
+
+        monkeypatch.setattr(flow, "solve_near", counted)
+        return calls
+
+    @pytest.mark.parametrize("nx, ny, gamma", [(64, 48, 0.0), (64, 48, 1.0), (47, 53, 0.0),
+                                               (101, 67, 0.5), (99, 97, 0.0)])
+    def test_matches_fresh_factorization(self, cg_calls, nx, ny, gamma):
+        assert nx * ny > COARSEST_NODES
+        sys, p = structured_system(nx, ny, gamma)
+        x = solve_flow(sys, p).data.ravel()
+        assert len(cg_calls) == 1
+        ref = GridFactor(sys.matrix, grid_order(nx, ny)).solve(sys.rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_small_levels_are_factorized(self, cg_calls):
+        sys, p = structured_system(64, 32, 0.0)
+        assert 64 * 32 == COARSEST_NODES
+        solve_flow(sys, p)
+        assert not cg_calls
+
+    def test_runs_are_bit_identical(self):
+        sys, p = structured_system(80, 60, 0.5)
+        np.testing.assert_array_equal(solve_flow(sys, p).data, solve_flow(sys, p).data)
+
+    def test_cg_at_its_cap_falls_back_to_factorizing(self, monkeypatch, cg_calls):
+        sys, p = structured_system(64, 48, 1.0)
+        monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
+        x = solve_flow(sys, p).data.ravel()
+        assert len(cg_calls) == 1
+        np.testing.assert_array_equal(
+            x, GridFactor(sys.matrix, grid_order(64, 48)).solve(sys.rhs))
+
+    @pytest.mark.parametrize("case", ["zero-row", "flat-frames"])
+    def test_singular_verdicts_do_not_depend_on_the_grid_size(self, case):
+        # flat frames leave the translation undetermined without samples,
+        # and with alpha = 0 leave zero rows far from a narrow sample (as in
+        # TestSolvers.test_zero_row_not_spd)
+        if case == "zero-row":
+            s = [DisplacementSample(position=np.array([2.0, 4.0]),
+                                    displacement=np.array([1.0, 0.0]))]
+            p = FlowParams(alpha=0.0, beta=1.0, sigma_g=1.0)
+        else:
+            s, p = [], FlowParams(alpha=0.8)
+
+        def verdict(nx, ny):
+            flat = ScalarGrid(nx, ny, np.full((ny, nx), 0.5))
+            sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), s, p)
+            with pytest.raises(NotSPD) as info:
+                solve_flow(sys, p)
+            return str(info.value)
+
+        assert 80 * 8 <= COARSEST_NODES < 80 * 40
+        assert verdict(80, 8) == verdict(80, 40)
+
 
 class TestFlowConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "sigma_g", "sigma0", "tol"])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            FlowParams(**{name: value})
+
     def test_roundtrip(self, tmp_path):
         cfg = tmp_path / "flow.cfg"
         cfg.write_text("alpha = 4.0\nbeta = 4\nsigma_g = 5\nlevels = 5\n"

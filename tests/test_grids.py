@@ -95,6 +95,52 @@ class TestGaussianFilter:
         assert abs(out.data.mean() - v.data.mean()) < 1e-12
 
 
+class TestPreprocessingMemory:
+    """Normalization and smoothing work on one copy of the input each, and
+    give the results of their out-of-place formulas."""
+
+    SHAPES = [(6, 9, 11), (1, 12, 7), (5, 1, 8), (4, 6, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES[:-1])
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_normalize_equals_formula(self, shape, log_scale):
+        v = Volume.from_array(np.random.default_rng(4).random(shape) + 0.1)
+        before = v.data.copy()
+        data = np.log10(v.data) if log_scale else v.data
+        expect = (data - data.min()) / (data.max() - data.min())
+        np.testing.assert_array_equal(normalize_intensity(v, log_scale).data, expect)
+        np.testing.assert_array_equal(v.data, before)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.9, 2.0])
+    def test_gaussian_filter_equals_successive_passes(self, shape, sigma):
+        from scipy.ndimage import gaussian_filter1d
+        v = Volume.from_array(np.random.default_rng(5).random(shape))
+        before = v.data.copy()
+        expect = v.data
+        for axis in range(3):
+            if sigma > 0 and expect.shape[axis] > 1:
+                expect = gaussian_filter1d(expect, sigma, axis=axis, mode="reflect",
+                                           radius=math.ceil(4 * sigma))
+        out = gaussian_filter(v, sigma)
+        np.testing.assert_array_equal(out.data, expect)
+        assert not np.shares_memory(out.data, v.data)
+        np.testing.assert_array_equal(v.data, before)
+
+    def test_detection_preprocessing_peak(self):
+        import tracemalloc
+        v = Volume.from_array(np.random.default_rng(6).random((16, 48, 48)))
+        tracemalloc.start()
+        try:
+            gaussian_filter(normalize_intensity(v, log_scale=False), 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the normalized copy and the smoothed output, plus the finiteness
+        # mask of each new volume (1/8); out-of-place passes peaked at 3x
+        assert peak <= 2.25 * v.data.nbytes
+
+
 class TestPyramidSigma:
     def test_half_downscale_value(self):
         assert pyramid_sigma(0.5, 0.6) == pytest.approx(1.03923, abs=1e-5)

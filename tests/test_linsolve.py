@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from speckleflow import linsolve
 from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField
-from speckleflow.errors import NotConverged
+from speckleflow.errors import NotConverged, NotSPD
 from speckleflow.flow import FlowParams, assemble
-from speckleflow.grids import ScalarGrid, VectorGrid
-from speckleflow.linsolve import GridFactor, grid_order, solve_near
+from speckleflow.grids import ScalarGrid, VectorGrid, prolong
+from speckleflow.linsolve import GridFactor, GridMultigrid, grid_order, solve_near
 
 extents = st.integers(min_value=2, max_value=40)
 
@@ -101,3 +101,60 @@ def test_solve_near_reports_the_cap(monkeypatch, cap):
     with pytest.raises(NotConverged, match="iteration cap") as info:
         solve_near(A, rng.standard_normal(A.shape[0]), near)
     assert info.value.residual > 1e-14
+
+
+def flow_matrix(nx, ny, seed, gamma=0.0):
+    rng = np.random.default_rng(seed)
+    grad = VectorGrid(nx, ny, rng.standard_normal((ny, nx, 2)))
+    it = ScalarGrid(nx, ny, rng.standard_normal((ny, nx)))
+    return assemble(grad, it, [], FlowParams(alpha=0.8, gamma=gamma)).matrix
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 6), (7, 9), (2, 3), (16, 1)])
+def test_prolongation_reproduces_constant_and_linear_fields(nx, ny):
+    mx, my = (nx + 1) // 2, (ny + 1) // 2
+    X, Y = np.meshgrid(np.arange(mx, dtype=float), np.arange(my, dtype=float))
+
+    def fields(x, y):
+        # dyadic coefficients, so that the interpolation is exact in floating point
+        return np.stack([2.0 + 0.5 * x - 0.25 * y, -1.0 + x + 0.75 * y], axis=-1)
+
+    P = linsolve.prolongation(nx, ny)
+    np.testing.assert_array_equal(P @ np.ones(2 * mx * my), np.ones(2 * nx * ny))
+    # fine node (i, j) lies at coarse coordinates (j/2, i/2); the last fine
+    # node of an even extent lies past the coarse grid and takes its edge
+    xs, ys = np.meshgrid(np.minimum(np.arange(nx) / 2, mx - 1),
+                         np.minimum(np.arange(ny) / 2, my - 1))
+    np.testing.assert_array_equal((P @ fields(X, Y).ravel()).reshape(ny, nx, 2),
+                                  fields(xs, ys))
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 6), (32, 20), (4, 2)])
+def test_prolongation_is_grids_prolong_on_even_extents(nx, ny):
+    coarse = VectorGrid(nx // 2, ny // 2,
+                        np.random.default_rng(nx).standard_normal((ny // 2, nx // 2, 2)))
+    fine = linsolve.prolongation(nx, ny) @ coarse.data.ravel()
+    np.testing.assert_allclose(fine.reshape(ny, nx, 2), prolong(coarse, nx, ny, 1.0).data,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_galerkin_operator_and_v_cycle_are_symmetric(gamma):
+    # 96^2 nodes coarsen twice, to 48^2 and to the factorized 24^2
+    mg = GridMultigrid(flow_matrix(96, 96, 5, gamma), 96, 96)
+    assert len(mg.levels) == 2
+    Ac = mg.levels[1].A
+    assert abs(Ac - Ac.T).max() <= 1e-12 * abs(Ac).max()
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((2, Ac.shape[0] * 4))
+    Bx, By = mg.solve(x), mg.solve(y)
+    assert abs(x @ By - y @ Bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
+    assert x @ Bx > 0
+
+
+def test_v_cycle_rejects_an_indefinite_node_block():
+    A = flow_matrix(50, 50, 7).tolil()
+    A[10, 11] = A[11, 10] = 1.01 * np.sqrt(A[10, 10] * A[11, 11])
+    with pytest.raises(NotSPD, match="2x2 diagonal block"):
+        GridMultigrid(A.tocsr(), 50, 50)
+
