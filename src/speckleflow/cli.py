@@ -5,7 +5,7 @@ Subcommands compose the pipeline: `synth` (phantom generation), `track`
 solve), `invert` (parameter reconstruction), `eval` (field comparison) and
 `render` (PGM/quiver export).  Exit codes: 0 success, 1 usage error, 2
 runtime error (missing or unreadable files, malformed formats, solver
-failures).
+failures, running out of memory).
 
 Lame fields on disk are directories holding `lambda.f64grid` and
 `mu.f64grid`.
@@ -287,6 +287,10 @@ def main(argv=None) -> int:
         return 2
     except (OSError, SpeckleFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {args.command}{detail}", file=sys.stderr)
         return 2
 
 

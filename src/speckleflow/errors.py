@@ -26,7 +26,8 @@ class FitError(SpeckleFlowError):
 
 
 class NotConverged(SpeckleFlowError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
+    """Iterative solver hit its iteration cap before reaching tolerance, or
+    gave up early because its rate of convergence could not reach it."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import naming_path, read_config
 from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
@@ -49,12 +48,10 @@ __all__ = [
 # bubble term's scaling guarantees break down
 MIN_SIGMA_G = 1.0 / math.sqrt(2.0 * math.pi)
 
-_SOLVERS = ("direct", "cg")
-
 
 @dataclass
 class FlowParams:
-    """Weights and solver settings for the flow functional."""
+    """Weights of the flow functional and the shape of its image pyramid."""
 
     alpha: float = 0.8
     beta: float = 0.0
@@ -63,12 +60,9 @@ class FlowParams:
     levels: int = 1
     eta: float = 0.5
     sigma0: float = 0.6
-    solver: str = "direct"
-    tol: float = 1e-8
-    max_iter: int = 0  # 0 = automatic (10 * unknowns)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "sigma_g", "sigma0", "tol"):
+        for name in ("alpha", "beta", "gamma", "sigma_g", "sigma0"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
@@ -83,12 +77,6 @@ class FlowParams:
             raise DomainError("eta must lie in (0, 1)")
         if self.sigma0 <= 0:
             raise DomainError("sigma0 must be positive")
-        if self.solver not in _SOLVERS:
-            raise DomainError(f"solver must be one of {_SOLVERS}")
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
-        if self.max_iter < 0:
-            raise DomainError("max_iter must be nonnegative")
 
     @classmethod
     def from_config(cls, path) -> "FlowParams":
@@ -226,23 +214,11 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
                       constant=constant, translation=translation)
 
 
-def _solve_direct(sys: FlowSystem) -> np.ndarray:
+def _solve_system(sys: FlowSystem) -> np.ndarray:
     """Solve to machine precision: by conjugate gradients preconditioned
     with a multigrid V-cycle on grids of more than `COARSEST_NODES` nodes,
     by factorization on smaller grids and whenever the V-cycle cannot be
-    built or the iteration hits its cap."""
-    if sys.nx * sys.ny > COARSEST_NODES:
-        try:
-            return solve_near(sys.matrix, sys.rhs, GridMultigrid(sys.matrix, sys.nx, sys.ny))
-        except (NotConverged, NotSPD):
-            pass  # the factorization below decides
-    try:
-        return GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
-    except RuntimeError as exc:
-        raise NotSPD(f"sparse factorization failed: {exc}")
-
-
-def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
+    built or the iteration gives up."""
     if not np.all(np.isfinite(sys.translation)):
         raise NotSPD("flow system has non-finite entries")
     if np.linalg.matrix_rank(sys.translation) < 2:
@@ -251,30 +227,31 @@ def _solve_system(sys: FlowSystem, p: FlowParams) -> np.ndarray:
     # the matrix is PSD, so a diagonal entry <= 0 means a zero row
     if not np.all(sys.matrix.diagonal() > 0):
         raise NotSPD("flow system is singular: an unknown enters no term")
-    if p.solver == "direct":
-        x = _solve_direct(sys)
-        if not np.all(np.isfinite(x)):
-            raise NotSPD("sparse solve produced non-finite values")
-        rnorm = np.linalg.norm(sys.matrix @ x - sys.rhs)
-        scale = np.linalg.norm(sys.rhs)
-        if rnorm > 1e-10 * scale:
-            raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
-        return x
-    max_iter = p.max_iter if p.max_iter > 0 else 10 * sys.rhs.size
-    x, info = spla.cg(sys.matrix, sys.rhs, rtol=p.tol, atol=0.0, maxiter=max_iter)
-    if info > 0:
-        res = float(np.linalg.norm(sys.matrix @ x - sys.rhs))
-        raise NotConverged(f"cg hit the iteration cap ({max_iter})", residual=res)
-    if info < 0:
-        raise NotSPD("cg reported an invalid system")
+    x = None
+    if sys.nx * sys.ny > COARSEST_NODES:
+        try:
+            x = solve_near(sys.matrix, sys.rhs, GridMultigrid(sys.matrix, sys.nx, sys.ny))
+        except (NotConverged, NotSPD):
+            pass  # the factorization below decides
+    if x is None:
+        try:
+            x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
+        except RuntimeError as exc:
+            raise NotSPD(f"sparse factorization failed: {exc}")
+    if not np.all(np.isfinite(x)):
+        raise NotSPD("sparse solve produced non-finite values")
+    rnorm = np.linalg.norm(sys.matrix @ x - sys.rhs)
+    scale = np.linalg.norm(sys.rhs)
+    if rnorm > 1e-10 * scale:
+        raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
     return x
 
 
-def solve_flow(sys: FlowSystem, p: FlowParams) -> VectorGrid:
+def solve_flow(sys: FlowSystem) -> VectorGrid:
     """Solve the assembled system and reshape to a displacement field;
     `NotSPD` if the system is singular (always if `translation` is, or if
     a diagonal entry of the matrix is zero)."""
-    x = _solve_system(sys, p)
+    x = _solve_system(sys)
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
 
 
@@ -336,7 +313,7 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
                        _scaled_samples(samples, p.eta ** s), p)
         up_flat = up.ravel()
         corr_sys = replace(sys, rhs=sys.rhs - sys.matrix @ up_flat)
-        u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys, p))
+        u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys))
     return u
 
 

@@ -54,7 +54,8 @@ _LEAF = 2
 # `solve_near` stops at this relative residual, which keeps its solutions
 # within about 1e-12 (relative) of a direct solve's
 _CG_RTOL = 1e-14
-# ... or gives up after this many iterations; a factor of a nearby matrix
+# ... or gives up after this many iterations, or earlier once its mean
+# contraction cannot get there within them; a factor of a nearby matrix
 # needs a handful and a V-cycle about fifteen, so a preconditioner that
 # needs more does not fit the matrix
 _CG_MAX_ITER = 50
@@ -244,17 +245,27 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
 
     Iterates until ||b - A x|| <= 1e-14 ||b|| (the recursively updated
     residual) and raises `NotConverged` if that takes more than the
-    module's iteration cap.
+    module's iteration cap, or as soon as it cannot within the cap: from
+    the eighth iteration j on, once the mean contraction so far,
+    rho = (||r_j|| / ||r_0||)^(1/j), would leave ||r_j|| rho^(cap - j)
+    above the tolerance.
     """
-    # not `spla.cg`: it reports success when maxiter is 0 and does not test
+    # not scipy's `cg`: it reports success when maxiter is 0 and does not test
     # the residual after its last iteration, so the cap would not be exact
     x = near.solve(b)
     r = b - A @ x
-    tol = _CG_RTOL * np.linalg.norm(b)
+    bnorm = np.linalg.norm(b)
+    tol = _CG_RTOL * bnorm
+    r0 = np.linalg.norm(r)
     p = rz = None
-    for _ in range(_CG_MAX_ITER):
-        if np.linalg.norm(r) <= tol:
+    for j in range(_CG_MAX_ITER):
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
             break
+        if j >= 8 and rnorm * (rnorm / r0) ** ((_CG_MAX_ITER - j) / j) > tol:
+            raise NotConverged(f"preconditioned cg cannot reach its tolerance within "
+                               f"the iteration cap ({_CG_MAX_ITER})",
+                               residual=rnorm / bnorm)
         z = near.solve(r)
         rz_prev, rz = rz, r @ z
         p = z if p is None else z + (rz / rz_prev) * p
@@ -265,5 +276,5 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
     rnorm = np.linalg.norm(r)
     if not rnorm <= tol:
         raise NotConverged(f"preconditioned cg hit the iteration cap ({_CG_MAX_ITER})",
-                           residual=rnorm / np.linalg.norm(b))
+                           residual=rnorm / bnorm)
     return x

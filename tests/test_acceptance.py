@@ -67,7 +67,7 @@ def test_criterion_02_horn_schunck_equivalence():
     for seed in range(20):
         grad, it, _, _ = random_instance(seed)
         p = FlowParams(alpha=0.8, beta=0.0)
-        ours = solve_flow(assemble(grad, it, [], p), p).data.ravel()
+        ours = solve_flow(assemble(grad, it, [], p)).data.ravel()
         ref = hs_reference_solution(grad, it, 0.8)
         worst = max(worst, float(np.abs(ours - ref).max()))
     report(2, worst <= 1e-8,

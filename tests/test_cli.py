@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speckleflow import cli
 from speckleflow.cli import main, read_lame_dir, read_pgm, write_lame_dir, write_pgm
 from speckleflow.elastic import LameField
 from speckleflow.grids import ScalarGrid, VectorGrid, read_f64grid, write_f64grid
@@ -106,11 +107,13 @@ class TestExitCodes:
         ("track", "d_max = -1\n"),
         ("track", "top_fraction = 1.5\n"),
         ("flow", "levels = 0\n"),
+        ("flow", "solver = direct\n"),
+        ("flow", "tol = 1e-8\n"),
     ], ids=["synth", "track", "flow", "flow-binary", "invert", "synth-inf",
             "track-nan", "flow-nan", "invert-nan", "invert-omega-nan",
             "invert-omega-negative", "invert-omega-zero", "synth-margin-negative",
             "track-d_max-negative", "track-top_fraction-above-1",
-            "flow-levels-zero"])
+            "flow-levels-zero", "flow-removed-solver", "flow-removed-tol"])
     def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
                                                command, text):
         image = tmp_path / "i.f64grid"
@@ -132,6 +135,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB for an array"],
+                             ids=["bare", "with-message"])
+    def test_out_of_memory_is_runtime_error(self, tmp_path, capsys, monkeypatch, message):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(8, 8, np.eye(8)))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("alpha = 1\n")
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.flowmod, "multiscale_flow", exhausted)
+        rc = main(["flow", "--i1", str(image), "--i2", str(image), "--config", str(cfg),
+                   "--out", str(tmp_path / "u.f64grid")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["forward", "invert", "flow"])
     def test_binary_text_input_is_runtime_error(self, tmp_path, capsys, command):

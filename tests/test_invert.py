@@ -201,6 +201,18 @@ class TestNesterov:
         np.testing.assert_array_equal(trace.stepsizes[:steps], ref_steps)
         np.testing.assert_array_equal(result.mu.data, p.mu.data)
 
+    @pytest.mark.parametrize("seed, n", [(35, 32), (36, 48)])
+    def test_cg_on_the_extrapolated_factor_never_gives_up(self, monkeypatch, seed, n):
+        # each iterate's solve converges in a handful of iterations, so cg
+        # never gives up early and no iterate is factorized afresh
+        lame, bc, u_true, *_ = small_phantom(seed, n=n)
+        steps = 8
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
+                              stopping="manual", manual_k=steps, max_iter=steps)
+        calls = count_factorizations(monkeypatch)
+        nesterov_iterate(cfg, u_true, bc)
+        assert len(calls) == steps
+
     def test_monotone_residuals_exact_data(self):
         # steepest descent on exact data: residual non-increasing
         for seed in range(5):
