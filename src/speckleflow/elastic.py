@@ -29,9 +29,9 @@ import scipy.sparse as sp
 
 from .config import finite_float, read_text
 from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
-                     ShapeMismatch, SingularSystem)
+                     NotSPD, ShapeMismatch, SingularSystem)
 from .grids import ScalarGrid, VectorGrid
-from .linsolve import GridFactor, grid_order, solve_near
+from .linsolve import GridFactor, check_solution, grid_order, solve_near
 
 __all__ = [
     "LameField",
@@ -268,11 +268,7 @@ class ElasticModel:
     def factorize(self, p: LameField | ReducedSystem) -> "ElasticFactors":
         """Factorized stiffness of p, or of a reduced system already assembled."""
         system = p if isinstance(p, ReducedSystem) else self.reduce(p)
-        try:
-            lu = GridFactor(system.K_ff, self.order)
-        except RuntimeError as exc:
-            raise SingularSystem(f"stiffness factorization failed: {exc}")
-        return ElasticFactors(self, system, lu)
+        return ElasticFactors(self, system, GridFactor(system.K_ff, self.order))
 
 
 class ElasticFactors:
@@ -301,12 +297,7 @@ class ElasticFactors:
                 x = solve_near(system.K_ff, system.rhs, self._lu)
             except NotConverged:
                 return m.factorize(system).solve_forward()
-        if not np.all(np.isfinite(x)):
-            raise SingularSystem("forward solve produced non-finite values")
-        rnorm = np.linalg.norm(system.K_ff @ x - system.rhs)
-        scale = np.linalg.norm(system.rhs)
-        if scale > 0 and rnorm > 1e-10 * scale:
-            raise SingularSystem(f"reduced residual {rnorm / scale:.2e} too large")
+        check_solution(system.K_ff, x, system.rhs)
         u = m.lift.copy()
         u[m.free] += x
         return VectorGrid(m.nx, m.ny, u.reshape(m.ny, m.nx, 2), m.h)
@@ -317,7 +308,7 @@ class ElasticFactors:
         w = np.zeros(2 * m.n_nodes)
         x = self._lu.solve(rhs_full[m.free])
         if not np.all(np.isfinite(x)):
-            raise SingularSystem("solve produced non-finite values")
+            raise NotSPD("solve produced non-finite values")
         w[m.free] = x
         return w
 

@@ -39,7 +39,7 @@ class NotSPD(SpeckleFlowError):
 
 
 class SingularSystem(SpeckleFlowError):
-    """The assembled linear system is singular (misconfigured BCs)."""
+    """The elastic boundary conditions leave a rigid motion free."""
 
 
 class SpecError(SpeckleFlowError):

@@ -28,9 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import naming_path, read_config
-from .errors import DomainError, NotConverged, NotSPD, ShapeMismatch
+from .errors import DomainError, NotSPD, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong
-from .linsolve import COARSEST_NODES, GridFactor, GridMultigrid, grid_order, solve_near
+from .linsolve import solve_grid
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -215,10 +215,7 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
 
 
 def _solve_system(sys: FlowSystem) -> np.ndarray:
-    """Solve to machine precision: by conjugate gradients preconditioned
-    with a multigrid V-cycle on grids of more than `COARSEST_NODES` nodes,
-    by factorization on smaller grids and whenever the V-cycle cannot be
-    built or the iteration gives up."""
+    """`solve_grid` after the checks for singular flow systems."""
     if not np.all(np.isfinite(sys.translation)):
         raise NotSPD("flow system has non-finite entries")
     if np.linalg.matrix_rank(sys.translation) < 2:
@@ -227,24 +224,7 @@ def _solve_system(sys: FlowSystem) -> np.ndarray:
     # the matrix is PSD, so a diagonal entry <= 0 means a zero row
     if not np.all(sys.matrix.diagonal() > 0):
         raise NotSPD("flow system is singular: an unknown enters no term")
-    x = None
-    if sys.nx * sys.ny > COARSEST_NODES:
-        try:
-            x = solve_near(sys.matrix, sys.rhs, GridMultigrid(sys.matrix, sys.nx, sys.ny))
-        except (NotConverged, NotSPD):
-            pass  # the factorization below decides
-    if x is None:
-        try:
-            x = GridFactor(sys.matrix, grid_order(sys.nx, sys.ny)).solve(sys.rhs)
-        except RuntimeError as exc:
-            raise NotSPD(f"sparse factorization failed: {exc}")
-    if not np.all(np.isfinite(x)):
-        raise NotSPD("sparse solve produced non-finite values")
-    rnorm = np.linalg.norm(sys.matrix @ x - sys.rhs)
-    scale = np.linalg.norm(sys.rhs)
-    if rnorm > 1e-10 * scale:
-        raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
-    return x
+    return solve_grid(sys.matrix, sys.rhs, sys.nx, sys.ny)
 
 
 def solve_flow(sys: FlowSystem) -> VectorGrid:

@@ -11,10 +11,10 @@ last.  Because no stencil reaches past one node, the line decouples the
 halves, which bounds the fill of the factor.
 
 SuperLU then factorizes the pre-permuted matrix with the ordering kept as
-given and pivots on the diagonal.  Both matrices are positive semidefinite
-by construction, so a zero pivot or an inaccurate solve means the matrix is
-singular; callers detect that from the `RuntimeError` SuperLU raises and
-from the residual of their solve.
+given and pivots on the diagonal.  Callers check that their matrices are
+SPD (the flow system's rank, the elastic boundary's rigid motions), so a
+failed factorization, or a solution that `check_solution` rejects, means
+the matrix is not SPD after all, and raises `NotSPD`.
 
 A factor also serves matrices near the one it was built from: `solve_near`
 runs conjugate gradients on such a matrix with the factor as the
@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 from .errors import NotConverged, NotSPD
 
 __all__ = ["COARSEST_NODES", "grid_order", "GridFactor", "GridMultigrid",
-           "prolongation", "solve_near"]
+           "prolongation", "solve_near", "check_solution", "solve_grid"]
 
 # regions at most this many nodes across are numbered row by row
 _LEAF = 2
@@ -113,15 +113,18 @@ def grid_order(nx: int, ny: int, free: np.ndarray | None = None) -> np.ndarray:
 class GridFactor:
     """Sparse LU factor of a grid SPD matrix in a given ordering.
 
-    Raises `RuntimeError` (from SuperLU) when the matrix is exactly singular.
+    Raises `NotSPD` when the factorization fails (a zero pivot).
     """
 
     def __init__(self, A: sp.spmatrix, perm: np.ndarray):
         self.perm = perm
         A = sp.csc_matrix(A)
-        self._lu = spla.splu(A[perm][:, perm], permc_spec="NATURAL",
-                             diag_pivot_thresh=0.0,
-                             options=dict(SymmetricMode=True))
+        try:
+            self._lu = spla.splu(A[perm][:, perm], permc_spec="NATURAL",
+                                 diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise NotSPD(f"sparse factorization failed: {exc}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b, dtype=np.float64)
@@ -220,10 +223,7 @@ class GridMultigrid:
             self.levels.append(level)
             A = (level.R @ (A @ level.P)).tocsr()
             nx, ny = (nx + 1) // 2, (ny + 1) // 2
-        try:
-            self.coarsest = GridFactor(A, grid_order(nx, ny))
-        except RuntimeError as exc:
-            raise NotSPD(f"coarsest factorization failed: {exc}")
+        self.coarsest = GridFactor(A, grid_order(nx, ny))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._cycle(0, b)
@@ -277,4 +277,32 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
     if not rnorm <= tol:
         raise NotConverged(f"preconditioned cg hit the iteration cap ({_CG_MAX_ITER})",
                            residual=rnorm / bnorm)
+    return x
+
+
+def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
+    """Accept x as the solution of A x = b, or raise `NotSPD` when x is not
+    finite or its relative residual exceeds the bound below."""
+    if not np.all(np.isfinite(x)):
+        raise NotSPD("sparse solve produced non-finite values")
+    rnorm = np.linalg.norm(A @ x - b)
+    scale = np.linalg.norm(b)
+    if not rnorm <= 1e-10 * scale:
+        raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
+
+
+def solve_grid(A: sp.spmatrix, b: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Solve the SPD system A x = b over the unknowns of an nx x ny grid to
+    machine precision: by conjugate gradients preconditioned with a V-cycle
+    above `COARSEST_NODES` nodes, by factorization below that and whenever
+    the V-cycle cannot be built or the iteration gives up."""
+    x = None
+    if nx * ny > COARSEST_NODES:
+        try:
+            x = solve_near(A, b, GridMultigrid(A, nx, ny))
+        except (NotConverged, NotSPD):
+            pass  # the factorization below decides
+    if x is None:
+        x = GridFactor(A, grid_order(nx, ny)).solve(b)
+    check_solution(A, x, b)
     return x

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speckleflow import flow, linsolve
+from speckleflow import linsolve
 from speckleflow.errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from speckleflow.flow import (FlowParams, _sample_fields, assemble,
                               evaluate_functional, gaussian_weight, gradient,
@@ -418,7 +418,7 @@ class TestMultigrid:
             calls.append(args)
             return solve_near(*args)
 
-        monkeypatch.setattr(flow, "solve_near", counted)
+        monkeypatch.setattr(linsolve, "solve_near", counted)
         return calls
 
     @pytest.mark.parametrize("nx, ny, gamma", [(64, 48, 0.0), (64, 48, 1.0), (47, 53, 0.0),
