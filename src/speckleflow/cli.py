@@ -81,6 +81,8 @@ def read_pgm(path) -> ScalarGrid:
         w, h, maxval = (int(fields[i][1]) for i in (1, 2, 3))
     except ValueError:
         raise FormatError("non-integer PGM header field", offset=fields[1][0])
+    if w < 1 or h < 1:
+        raise FormatError("PGM extents must be positive", offset=fields[1][0])
     if maxval != 255:
         raise FormatError("only 8-bit PGM supported", offset=fields[3][0])
     pos += 1  # single whitespace after maxval

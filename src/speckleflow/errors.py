@@ -42,6 +42,10 @@ class SingularSystem(SpeckleFlowError):
     """The elastic boundary conditions leave a rigid motion free."""
 
 
+class OutOfMemory(SpeckleFlowError):
+    """A sparse factorization could not allocate its factor."""
+
+
 class SpecError(SpeckleFlowError):
     """A phantom specification violates its geometric constraints."""
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import naming_path, read_config
-from .errors import DomainError, NotSPD, ShapeMismatch
+from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong
 from .linsolve import solve_grid
 from .speckle import DisplacementSample
@@ -271,6 +271,8 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
     """
     if (i1.nx, i1.ny) != (i2.nx, i2.ny):
         raise ShapeMismatch("image extents differ")
+    if i1.nx < 2 or i1.ny < 2:
+        raise GridTooSmall(f"flow needs frames of at least 2x2 pixels, got {i1.nx}x{i1.ny}")
     levels = [(i1, i2)]
     for _ in range(p.levels - 1):
         a, b = levels[-1]

@@ -280,6 +280,8 @@ def prolong(u: VectorGrid, nx: int, ny: int, scale: float) -> VectorGrid:
 
 def spatial_gradient(g: ScalarGrid) -> VectorGrid:
     """Gradient by central differences, one-sided at the borders."""
+    if g.nx < 2 or g.ny < 2:
+        raise GridTooSmall(f"a gradient needs at least 2x2 pixels, got {g.nx}x{g.ny}")
     dy, dx = np.gradient(g.data, g.spacing)
     return VectorGrid(g.nx, g.ny, np.stack([dx, dy], axis=-1), g.spacing)
 

@@ -108,6 +108,13 @@ class InversionConfig:
     manual_k: int = field(default=100, metadata={"config": False})
 
     def __post_init__(self):
+        for name in ("lambda0", "mu0", "tau", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+        if self.lambda0 < 0:
+            raise DomainError("lambda0 must be nonnegative")
+        if self.mu0 < MU_FLOOR:
+            raise DomainError(f"mu0 must be at least {MU_FLOOR}")
         if self.stepsize not in _STEPSIZES:
             raise DomainError(f"stepsize must be one of {_STEPSIZES}")
         if self.stepsize == "constant" and not 0 < self.omega < math.inf:

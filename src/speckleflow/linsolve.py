@@ -14,7 +14,8 @@ SuperLU then factorizes the pre-permuted matrix with the ordering kept as
 given and pivots on the diagonal.  Callers check that their matrices are
 SPD (the flow system's rank, the elastic boundary's rigid motions), so a
 failed factorization, or a solution that `check_solution` rejects, means
-the matrix is not SPD after all, and raises `NotSPD`.
+the matrix is not SPD after all, and raises `NotSPD`.  A factor that
+SuperLU cannot allocate raises `OutOfMemory`, which nothing retries.
 
 A factor also serves matrices near the one it was built from: `solve_near`
 runs conjugate gradients on such a matrix with the factor as the
@@ -43,13 +44,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NotConverged, NotSPD
+from .errors import NotConverged, NotSPD, OutOfMemory
 
 __all__ = ["COARSEST_NODES", "grid_order", "GridFactor", "GridMultigrid",
            "prolongation", "solve_near", "check_solution", "solve_grid"]
 
 # regions at most this many nodes across are numbered row by row
 _LEAF = 2
+
+# SuperLU's messages for a failed allocation
+_SUPERLU_OOM = ("SUPERLU_MALLOC fail", "Malloc fails", "Not enough memory")
 
 # `solve_near` stops at this relative residual, which keeps its solutions
 # within about 1e-12 (relative) of a direct solve's
@@ -110,10 +114,17 @@ def grid_order(nx: int, ny: int, free: np.ndarray | None = None) -> np.ndarray:
     return reduced[dofs[free[dofs]]]
 
 
+def _out_of_memory(A: sp.csc_matrix, exc: Exception) -> OutOfMemory:
+    detail = f": {exc}" if str(exc) else ""
+    return OutOfMemory(f"out of memory factorizing a sparse matrix of order "
+                       f"{A.shape[0]} with {A.nnz} nonzeros{detail}")
+
+
 class GridFactor:
     """Sparse LU factor of a grid SPD matrix in a given ordering.
 
-    Raises `NotSPD` when the factorization fails (a zero pivot).
+    Raises `OutOfMemory` when the factor cannot be allocated and `NotSPD`
+    when the factorization fails otherwise (a zero pivot).
     """
 
     def __init__(self, A: sp.spmatrix, perm: np.ndarray):
@@ -123,7 +134,11 @@ class GridFactor:
             self._lu = spla.splu(A[perm][:, perm], permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
+        except MemoryError as exc:
+            raise _out_of_memory(A, exc)
         except RuntimeError as exc:
+            if any(m in str(exc) for m in _SUPERLU_OOM):
+                raise _out_of_memory(A, exc)
             raise NotSPD(f"sparse factorization failed: {exc}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -212,7 +227,8 @@ class GridMultigrid:
 
     Raises `NotSPD` when a 2x2 diagonal block of a grid's matrix is not
     positive definite or the coarsest matrix is exactly singular; the
-    matrix is then not SPD, or too close to singular for the cycle.
+    matrix is then not SPD, or too close to singular for the cycle.  The
+    coarsest factor raises `OutOfMemory` as `GridFactor` does.
     """
 
     def __init__(self, A: sp.spmatrix, nx: int, ny: int):

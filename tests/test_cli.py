@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from speckleflow import cli
 from speckleflow.cli import main, read_lame_dir, read_pgm, write_lame_dir, write_pgm
 from speckleflow.elastic import LameField
+from speckleflow.errors import FormatError
 from speckleflow.grids import ScalarGrid, VectorGrid, read_f64grid, write_f64grid
 from speckleflow.invert import read_trace_csv
 from speckleflow.speckle import read_samples_csv
@@ -36,6 +38,14 @@ class TestRender:
         img = read_pgm(out)
         assert np.unique(img.data).size == 1
         assert (tmp_path / "img.pgm.quiver.csv").exists()
+
+    @pytest.mark.parametrize("extents", [b"-1 -1", b"0 3"])
+    def test_pgm_with_nonpositive_extents_names_their_offset(self, tmp_path, extents):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + extents + b"\n255\n\x00")
+        with pytest.raises(FormatError, match="extents") as info:
+            read_pgm(path)
+        assert info.value.offset == 3
 
     def test_vector_field_quiver(self, tmp_path):
         v = VectorGrid(32, 32, np.random.default_rng(1).standard_normal((32, 32, 2)))
@@ -71,10 +81,20 @@ class TestExitCodes:
     def test_vector_volume_f64grid_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.f64grid"
         bad.write_bytes(b"F64GRID 2 3 3 2\n" + b"\x00" * (8 * 36))
-        for argv in (["render", "--in", str(bad), "--out", str(tmp_path / "r.pgm")],
-                     ["eval", "--est", str(bad), "--truth", str(bad)]):
+        # a one-pixel-high frame reads, but has no gradient across it
+        thin = tmp_path / "thin.f64grid"
+        write_f64grid(thin, ScalarGrid(5, 1, np.arange(5.0)))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("alpha = 1\n")
+        for argv, message in (
+                (["render", "--in", str(bad), "--out", str(tmp_path / "r.pgm")],
+                 "inadmissible extents"),
+                (["eval", "--est", str(bad), "--truth", str(bad)], "inadmissible extents"),
+                (["flow", "--i1", str(thin), "--i2", str(thin), "--config", str(cfg),
+                  "--out", str(tmp_path / "u.f64grid")], "at least 2x2 pixels, got 5x1")):
             assert main(argv) == 2
-            assert "inadmissible extents" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["eval", "--bogus", "x"]) == 1
@@ -109,11 +129,13 @@ class TestExitCodes:
         ("flow", "levels = 0\n"),
         ("flow", "solver = direct\n"),
         ("flow", "tol = 1e-8\n"),
+        ("invert", "mu0 = 0\n"),
     ], ids=["synth", "track", "flow", "flow-binary", "invert", "synth-inf",
             "track-nan", "flow-nan", "invert-nan", "invert-omega-nan",
             "invert-omega-negative", "invert-omega-zero", "synth-margin-negative",
             "track-d_max-negative", "track-top_fraction-above-1",
-            "flow-levels-zero", "flow-removed-solver", "flow-removed-tol"])
+            "flow-levels-zero", "flow-removed-solver", "flow-removed-tol",
+            "invert-mu0-zero"])
     def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
                                                command, text):
         image = tmp_path / "i.f64grid"
@@ -154,6 +176,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("failure", [MemoryError(), RuntimeError(
+        "Not enough memory to perform factorization.")], ids=["memory-error", "superlu"])
+    @pytest.mark.parametrize("command", ["forward", "flow"])
+    def test_factorization_out_of_memory_is_runtime_error(self, tmp_path, capsys,
+                                                          monkeypatch, command, failure):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(12, 10, np.random.default_rng(3).random((10, 12))))
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(12, 10, 1.0, 1.0))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet bottom both 0\ntraction top 0.3 -1\n")
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("alpha = 1\n")
+        calls = []
+
+        def exhausted(*args, **kwargs):
+            calls.append(args)
+            raise failure
+
+        monkeypatch.setattr(spla, "splu", exhausted)
+        argv = {
+            "forward": ["--lame", str(lame), "--bc", str(bc)],
+            "flow": ["--i1", str(image), "--i2", str(image), "--config", str(cfg)],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory factorizing") and "nonzeros" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["forward", "invert", "flow"])
     def test_binary_text_input_is_runtime_error(self, tmp_path, capsys, command):

@@ -218,6 +218,11 @@ class TestDerivatives:
         np.testing.assert_allclose(grad.data[:, :, 0], 3.0, atol=1e-12)
         np.testing.assert_allclose(grad.data[:, :, 1], 4.0, atol=1e-12)
 
+    @pytest.mark.parametrize("nx, ny", [(5, 1), (1, 5), (1, 1)])
+    def test_gradient_of_a_one_pixel_extent_rejected(self, nx, ny):
+        with pytest.raises(GridTooSmall, match=f"got {nx}x{ny}"):
+            spatial_gradient(ScalarGrid(nx, ny, np.zeros((ny, nx))))
+
     def test_gradient_spacing(self):
         g = ScalarGrid(5, 5, np.tile(np.arange(5.0), (5, 1)), spacing=0.5)
         grad = spatial_gradient(g)

@@ -355,6 +355,16 @@ class TestConfigAndTrace:
         with pytest.raises(DomainError):
             InversionConfig(stopping="discrepancy", tau=0.9)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lambda0", -1.0), ("lambda0", math.nan), ("mu0", 0.0), ("mu0", math.inf),
+        ("tau", math.nan), ("delta", math.nan), ("delta", math.inf)])
+    def test_start_point_and_discrepancy_values_checked(self, name, value):
+        # a nan delta or tau compared false and ran to max_iter; mu0 = 0
+        # failed only inside the iteration
+        with pytest.raises(DomainError, match=name):
+            InversionConfig(stopping="discrepancy", **{name: value})
+        InversionConfig(stopping="discrepancy", lambda0=0.0, mu0=MU_FLOOR)
+
     def test_trace_csv_roundtrip(self, tmp_path):
         t = IterationTrace()
         for k, r in enumerate([5.0, 3.0, 2.0]):

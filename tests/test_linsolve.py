@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from speckleflow import linsolve
-from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField
-from speckleflow.errors import NotConverged, NotSPD
-from speckleflow.flow import FlowParams, assemble
+from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField, forward_solve
+from speckleflow.errors import NotConverged, NotSPD, OutOfMemory
+from speckleflow.flow import FlowParams, assemble, solve_flow
 from speckleflow.grids import ScalarGrid, VectorGrid, prolong
 from speckleflow.linsolve import GridFactor, GridMultigrid, grid_order, solve_near
 
@@ -158,3 +163,100 @@ def test_v_cycle_rejects_an_indefinite_node_block():
     with pytest.raises(NotSPD, match="2x2 diagonal block"):
         GridMultigrid(A.tocsr(), 50, 50)
 
+
+
+# what `spla.splu` raises: the allocation failures SuperLU reports, a raw
+# MemoryError, and a zero pivot
+SPLU_FAILURES = {
+    "memory-error": (MemoryError(), OutOfMemory),
+    "superlu-malloc": (RuntimeError("SUPERLU_MALLOC fails for ACstore"), OutOfMemory),
+    "malloc": (RuntimeError("Malloc fails for A[]"), OutOfMemory),
+    "not-enough-memory": (RuntimeError("Not enough memory to perform factorization."),
+                          OutOfMemory),
+    "zero-pivot": (RuntimeError("Factor is exactly singular"), NotSPD),
+}
+
+
+def failing_splu(monkeypatch, failure, first_failing=1):
+    """Make `spla.splu` raise `failure` from its `first_failing`-th call on;
+    returns the list of its calls."""
+    calls = []
+    splu = spla.splu
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        if len(calls) < first_failing:
+            return splu(*args, **kwargs)
+        raise failure
+
+    monkeypatch.setattr(spla, "splu", fake)
+    return calls
+
+
+def flow_system(nx, ny):
+    rng = np.random.default_rng(4)
+    grad = VectorGrid(nx, ny, rng.standard_normal((ny, nx, 2)))
+    it = ScalarGrid(nx, ny, rng.standard_normal((ny, nx)))
+    return assemble(grad, it, [], FlowParams(alpha=0.8))
+
+
+@pytest.mark.parametrize("failure", list(SPLU_FAILURES))
+@pytest.mark.parametrize("path", ["elastic", "flow-coarsest", "flow-factor", "flow-after-cg"])
+def test_factorization_failures_are_named_and_not_retried(monkeypatch, failure, path):
+    exc, expected = SPLU_FAILURES[failure]
+    if path == "elastic":
+        bc = BoundaryConditions(dirichlet=[("bottom", "both", 0.0)],
+                                traction=[("top", (0.3, -1.0))])
+        solve = lambda: forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
+    else:
+        nx, ny = (40, 30) if path == "flow-factor" else (64, 48)
+        assert (nx * ny > linsolve.COARSEST_NODES) == (path != "flow-factor")
+        sys_ = flow_system(nx, ny)
+        solve = lambda: solve_flow(sys_)
+    if path == "flow-after-cg":
+        monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
+    first_failing = 2 if path == "flow-after-cg" else 1
+    calls = failing_splu(monkeypatch, exc, first_failing)
+    with pytest.raises(expected) as info:
+        solve()
+    if expected is OutOfMemory:
+        assert str(info.value).startswith("out of memory factorizing")
+        assert "nonzeros" in str(info.value)
+        assert len(calls) == first_failing
+    else:
+        # a zero pivot on the V-cycle's coarsest grid leaves the decision to
+        # a factorization of the whole level
+        assert len(calls) == first_failing + (path == "flow-coarsest")
+
+
+_RLIMIT_CHILD = """
+import resource
+from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField
+from speckleflow.errors import OutOfMemory
+
+n = 300
+model = ElasticModel(n, n, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)]))
+system = model.reduce(LameField.constant(n, n, 490.0, 10.0))
+with open("/proc/self/status") as f:
+    vm = next(int(line.split()[1]) for line in f if line.startswith("VmSize:")) * 1024
+# the factor takes about 350 MB
+resource.setrlimit(resource.RLIMIT_AS,
+                   (vm + 200 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    model.factorize(system)
+except OutOfMemory as exc:
+    print(f"OutOfMemory: {exc}")
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_factorization_beyond_the_address_space_limit_is_out_of_memory():
+    # the limit is lowered only in the child process
+    src = str(Path(linsolve.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _RLIMIT_CHILD], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("OutOfMemory: out of memory factorizing a sparse "
+                                 "matrix of order 179400 with ")
