@@ -229,6 +229,35 @@ def test_factorization_failures_are_named_and_not_retried(monkeypatch, failure, 
         assert len(calls) == first_failing + (path == "flow-coarsest")
 
 
+def test_check_solution_accepts_only_finite_accurate_solutions():
+    A = flow_system(6, 5).matrix
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    x = GridFactor(A, grid_order(6, 5)).solve(b)
+    linsolve.check_solution(A, x, b)
+    linsolve.check_solution(A, np.zeros_like(b), np.zeros_like(b))
+    for bad, message in ((np.where(np.arange(x.size) == 3, np.nan, x), "non-finite"),
+                         (x * (1 + 1e-6), "relative residual"),
+                         (np.full_like(x, 1e100), "relative residual")):
+        with pytest.raises(NotSPD, match=message):
+            linsolve.check_solution(A, bad, b)
+    # a nan residual compares false with the bound, and is rejected too
+    with pytest.raises(NotSPD, match="relative residual nan"):
+        linsolve.check_solution(A, x, np.where(np.arange(b.size) == 3, np.nan, b))
+
+
+@pytest.mark.parametrize("path", ["elastic", "flow"])
+def test_inaccurate_solves_are_not_spd(monkeypatch, path):
+    solve = GridFactor.solve
+    monkeypatch.setattr(GridFactor, "solve", lambda self, b: solve(self, b) * (1 + 1e-6))
+    with pytest.raises(NotSPD, match="relative residual"):
+        if path == "elastic":
+            bc = BoundaryConditions(dirichlet=[("bottom", "both", 0.0)],
+                                    traction=[("top", (0.3, -1.0))])
+            forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
+        else:
+            solve_flow(flow_system(40, 30))
+
+
 _RLIMIT_CHILD = """
 import resource
 from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField
