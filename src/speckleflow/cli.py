@@ -21,6 +21,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import invert as invertmod
+from .config import write_lines
 from .elastic import (LameField, forward_solve, read_bc_config,
                       write_bc_config, young_modulus)
 from .errors import FormatError, SpeckleFlowError
@@ -214,11 +215,11 @@ def _cmd_render(args):
             for ix in range(0, obj.nx, step):
                 ux, uy = obj.data[iy, ix]
                 lines.append(f"{ix},{iy},{ux:.17g},{uy:.17g}")
-        quiver.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(quiver, lines)
     else:
         data = obj.data if isinstance(obj, ScalarGrid) else obj.data.reshape(-1, obj.nx)
         write_pgm(out, np.abs(data))
-        quiver.write_text("x,y,ux,uy\n", encoding="utf-8")
+        write_lines(quiver, ["x,y,ux,uy"])
     return 0
 
 

@@ -9,8 +9,9 @@ and a `{key: type}` dict adds keys that are not fields.  Booleans are
 written 1/true/yes/on or 0/false/no/off.  An unknown key, a duplicate key or
 a value that does not convert (floats must be finite) raises `FormatError`
 naming the file and line; a value that converts but fails its dataclass's
-check is reported with the file's path too (`naming_path`).  `read_text`
-and `finite_float` are shared with the package's other text readers.
+check is reported with the file's path too (`naming_path`).  The other
+line-oriented files share this text format: UTF-8, '\n' line ends, and
+errors naming `<path>:<line>` (`content_lines`, `read_table`, `write_lines`).
 """
 
 from __future__ import annotations
@@ -55,6 +56,41 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not a UTF-8 text file") from None
 
 
+def write_lines(path, lines) -> None:
+    """Write `lines` to `path` as UTF-8, each ended by '\n'."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def content_lines(path):
+    """`(where, stripped line)` for each line at `path` that is neither blank
+    nor a `#` comment, where `where` is `<path>:<line>`."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield f"{path}:{lineno}", text
+
+
+def read_table(path, header: str, types) -> list:
+    """Rows of the CSV at `path` headed by `header`, blank lines skipped and
+    field j converted by `types[j]`; `FormatError` names any bad line."""
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != header:
+        raise FormatError(f"{path}: expected header '{header}'")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(types):
+            raise FormatError(f"{path}:{lineno}: expected {len(types)} fields")
+        try:
+            rows.append([typ(raw) for typ, raw in zip(types, parts)])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
 def read_config(path, what: str, *schemas) -> dict:
     """Typed values of the keys present in the config at `path`.
 
@@ -63,14 +99,9 @@ def read_config(path, what: str, *schemas) -> dict:
     types = {}
     for schema in schemas:
         types.update(_schema_types(schema))
-    lines = read_text(path).split("\n")
     out = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, eq, raw = (s.strip() for s in stripped.partition("="))
-        where = f"{path}:{lineno}"
+    for where, line in content_lines(path):
+        key, eq, raw = (s.strip() for s in line.partition("="))
         if not eq or not key:
             raise FormatError(f"{where}: expected 'key = value'")
         if key not in types:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .config import finite_float, read_text
+from .config import content_lines, finite_float, write_lines
 from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
                      NotSPD, ShapeMismatch, SingularSystem)
 from .grids import ScalarGrid, VectorGrid
@@ -403,25 +403,22 @@ def read_bc_config(path) -> BoundaryConditions:
     `traction <side> <tx> <ty>`."""
     dirichlet = []
     traction = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+    for where, line in content_lines(path):
+        parts = line.split()
         if parts[0] == "dirichlet" and len(parts) == 4:
             try:
                 value = finite_float(parts[3])
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad Dirichlet value")
+                raise FormatError(f"{where}: bad Dirichlet value")
             dirichlet.append((parts[1], parts[2], value))
         elif parts[0] == "traction" and len(parts) == 4:
             try:
                 tx, ty = finite_float(parts[2]), finite_float(parts[3])
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad traction value")
+                raise FormatError(f"{where}: bad traction value")
             traction.append((parts[1], (tx, ty)))
         else:
-            raise FormatError(f"{path}:{lineno}: unrecognized boundary line")
+            raise FormatError(f"{where}: unrecognized boundary line")
     return BoundaryConditions(dirichlet=dirichlet, traction=traction)
 
 
@@ -434,5 +431,4 @@ def write_bc_config(path, bc: BoundaryConditions) -> None:
         lines.append(f"dirichlet {side} {comps} {float(value):.17g}")
     for side, value in bc.traction:
         lines.append(f"traction {side} {value[0]:.17g} {value[1]:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import finite_float, naming_path, read_config, read_text
+from .config import finite_float, naming_path, read_config, read_table, write_lines
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid
@@ -392,26 +392,13 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
     for k, r, s, hv in zip(trace.ks, trace.residuals, trace.stepsizes,
                            trace.heuristics):
         lines.append(f"{k},{r:.17g},{s:.17g},{hv:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_trace_csv(path) -> IterationTrace:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != _TRACE_HEADER:
-        raise FormatError(f"{path}: expected header '{_TRACE_HEADER}'")
+    """Only the stepsize (nan on the final row) and the heuristic (inf at
+    k = 0, recomputed here) may be non-finite."""
     trace = IterationTrace()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 fields")
-        try:
-            k = int(parts[0])
-            r = float(parts[1])
-            s = float(parts[2])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric field")
+    for k, r, s, _ in read_table(path, _TRACE_HEADER, (int, finite_float, float, float)):
         trace.append(k, r, s)
     return trace

@@ -16,8 +16,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .config import naming_path, read_config, read_text
-from .errors import ConstantField, DomainError, FitError, FormatError, ShapeMismatch
+from .config import finite_float, naming_path, read_config, read_table, write_lines
+from .errors import ConstantField, DomainError, FitError, ShapeMismatch
 from .grids import Volume, gaussian_filter, normalize_intensity
 
 __all__ = [
@@ -363,28 +363,12 @@ def write_samples_csv(path, samples) -> None:
         p[:s.position.shape[0]] = s.position
         u[:s.displacement.shape[0]] = s.displacement
         lines.append(",".join(f"{v:.17g}" for v in (*p, *u)))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_samples_csv(path) -> list:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
-        raise FormatError(f"{path}: expected header '{_CSV_HEADER}'")
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise FormatError(f"{path}:{lineno}: expected 6 fields")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric field")
-        samples.append(DisplacementSample(position=np.array(vals[:3]),
-                                          displacement=np.array(vals[3:])))
-    return samples
+    return [DisplacementSample(position=np.array(vals[:3]), displacement=np.array(vals[3:]))
+            for vals in read_table(path, _CSV_HEADER, [finite_float] * 6)]
 
 
 def tracking_config(path):
