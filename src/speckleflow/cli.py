@@ -184,8 +184,7 @@ def _cmd_forward(args):
 def _cmd_invert(args):
     udelta = _as_vector(read_f64grid(args.data), "data")
     bc = read_bc_config(args.bc)
-    cfg = invertmod.InversionConfig.from_config(
-        args.config, read_mask=lambda p: _as_scalar(read_f64grid(p), "mask"))
+    cfg = invertmod.InversionConfig.from_config(args.config)
     lame, trace = invertmod.nesterov_iterate(cfg, udelta, bc)
     write_lame_dir(args.out, lame)
     write_f64grid(Path(args.out) / "young.f64grid", young_modulus(lame))

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 
 from .config import naming_path, read_config
 from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
-from .grids import ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong
+from .grids import (ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong,
+                    spatial_gradient)
 from .linsolve import solve_grid
 from .speckle import DisplacementSample
 
@@ -286,7 +287,7 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         if s < p.levels - 1:
             u = prolong(u, a.nx, a.ny, 1.0 / p.eta)
         up = u.data
-        grad_a = _pixel_gradient(a)
+        grad_a = spatial_gradient(ScalarGrid(a.nx, a.ny, a.data))  # index units
         warped = _warp(b.data, up)
         # temporal term re-centered at the estimate
         it_eff = (warped - a.data) - (grad_a.data[:, :, 0] * up[:, :, 0]
@@ -297,9 +298,3 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         corr_sys = replace(sys, rhs=sys.rhs - sys.matrix @ up_flat)
         u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys))
     return u
-
-
-def _pixel_gradient(g: ScalarGrid) -> VectorGrid:
-    """Gradient in index units regardless of the grid's physical spacing."""
-    dy, dx = np.gradient(g.data)
-    return VectorGrid(g.nx, g.ny, np.stack([dx, dy], axis=-1))

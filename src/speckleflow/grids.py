@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
+from scipy import ndimage
 
 from .errors import ConstantField, DomainError, FormatError, GridTooSmall, ShapeMismatch
 
@@ -188,17 +188,9 @@ def gaussian_filter(v: Volume, sigma: float) -> Volume:
     """
     if sigma < 0:
         raise DomainError("sigma must be nonnegative")
-    if sigma == 0:
-        return v.copy()
-    # the first pass allocates the output and the later ones overwrite it;
-    # each reads a whole line before writing it, so they may run in place
-    out = None
-    r = _kernel_radius(sigma)
-    for axis in range(3):
-        if v.data.shape[axis] > 1:
-            out = gaussian_filter1d(v.data if out is None else out, sigma, axis=axis,
-                                    output=out, mode="reflect", radius=r)
-    return Volume(v.nx, v.ny, v.nz, v.data.copy() if out is None else out)
+    axes = [axis for axis, n in enumerate(v.data.shape) if n > 1]
+    return Volume(v.nx, v.ny, v.nz, ndimage.gaussian_filter(
+        v.data, sigma, mode="reflect", radius=_kernel_radius(sigma), axes=axes))
 
 
 # ---------------------------------------------------------------------------

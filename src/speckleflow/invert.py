@@ -24,7 +24,7 @@ import numpy as np
 from .config import finite_float, naming_path, read_config, read_table, write_lines
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
-from .grids import ScalarGrid, VectorGrid
+from .grids import ScalarGrid, VectorGrid, read_f64grid
 
 __all__ = [
     "InversionConfig",
@@ -138,11 +138,10 @@ class InversionConfig:
         return LameField.constant(nx, ny, self.lambda0, self.mu0, spacing)
 
     @classmethod
-    def from_config(cls, path, read_mask=None) -> "InversionConfig":
+    def from_config(cls, path) -> "InversionConfig":
         """Settings from an inversion config.  `stepsize = constant(omega)`
         and `stopping = manual(k)` also set `omega` and `manual_k`;
-        `read_mask` loads the grid that `mask_file` names (without it the
-        key is ignored)."""
+        `mask_file` names the F64GRID scalar grid read as `boundary_mask`."""
         cfg = read_config(path, "inversion", cls, {"mask_file": str})
         mask_file = cfg.pop("mask_file", None)
         m = re.fullmatch(r"constant\(([^)]+)\)", cfg.get("stepsize", ""))
@@ -155,7 +154,9 @@ class InversionConfig:
         m = re.fullmatch(r"manual\((\d+)\)", cfg.get("stopping", ""))
         if m:
             cfg["stopping"], cfg["manual_k"] = "manual", int(m.group(1))
-        mask = read_mask(mask_file) if read_mask and mask_file is not None else None
+        mask = None if mask_file is None else read_f64grid(mask_file)
+        if mask is not None and not isinstance(mask, ScalarGrid):
+            raise FormatError(f"{path}: mask_file '{mask_file}' is not a scalar grid")
         with naming_path(path):
             return cls(boundary_mask=mask, **cfg)
 

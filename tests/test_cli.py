@@ -207,6 +207,19 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_nonfinite_sample_is_runtime_error(self, tmp_path, capsys, value):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(8, 8, np.eye(8)))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("beta = 1\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text(f"x,y,z,ux,uy,uz\n1,2,0,{value},0,0\n")
+        assert main(["flow", "--i1", str(image), "--i2", str(image), "--samples", str(samples),
+                     "--config", str(cfg), "--out", str(tmp_path / "u.f64grid")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {samples}:2:") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["forward", "invert", "flow"])
     def test_binary_text_input_is_runtime_error(self, tmp_path, capsys, command):
         image = tmp_path / "i.f64grid"

@@ -326,8 +326,9 @@ class TestBCConfig:
         with pytest.raises(FormatError):
             read_bc_config(path)
         for line in ("dirichlet top uy nan", "dirichlet top uy -inf",
-                     "traction left inf 0", "traction left 0 nan"):
-            path.write_text(f"dirichlet bottom both 0\n{line}\n")
-            with pytest.raises(FormatError) as err:
-                read_bc_config(path)
-            assert str(err.value).startswith(f"{path}:2:")
+                     "traction left inf 0", "traction left 0 nan", "neumann top 0 0"):
+            for head, lineno in (("", 2), ("# fixed base\n\n", 4)):
+                path.write_text(f"{head}dirichlet bottom both 0\n{line}\n")
+                with pytest.raises(FormatError) as err:
+                    read_bc_config(path)
+                assert str(err.value).startswith(f"{path}:{lineno}:")

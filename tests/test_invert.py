@@ -7,7 +7,7 @@ import pytest
 from speckleflow import linsolve
 from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR, forward_solve
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch
-from speckleflow.grids import ScalarGrid, VectorGrid
+from speckleflow.grids import ScalarGrid, VectorGrid, write_f64grid
 from speckleflow.invert import (InversionConfig, IterationTrace,
                                 boundary_band_mask, field_error, field_norm,
                                 landweber_step, nesterov_alpha, nesterov_iterate,
@@ -325,13 +325,18 @@ class TestConfigAndTrace:
         assert cfg.stopping == "manual" and cfg.manual_k == 12
         assert cfg.acceleration is True
 
-    def test_mask_file_loaded_by_reader(self, tmp_path):
+    def test_mask_file_loaded_by_reader(self, tmp_path, monkeypatch):
+        # mask_file is relative to the working directory, not to the config
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "inv.cfg"
         path.write_text("mask_file = m.f64grid\n")
         mask = boundary_band_mask(6, 6, 1)
-        cfg = InversionConfig.from_config(path, read_mask={"m.f64grid": mask}.get)
-        assert cfg.boundary_mask is mask
-        assert InversionConfig.from_config(path).boundary_mask is None
+        write_f64grid(tmp_path / "m.f64grid", mask)
+        cfg = InversionConfig.from_config(path)
+        np.testing.assert_array_equal(cfg.boundary_mask.data, mask.data)
+        write_f64grid(tmp_path / "m.f64grid", VectorGrid.zeros(6, 6))
+        with pytest.raises(FormatError, match=f"^{path}: mask_file"):
+            InversionConfig.from_config(path)
 
     @pytest.mark.parametrize("line", ["omega = 2", "manual_k = 3"])
     def test_derived_fields_are_not_keys(self, tmp_path, line):
@@ -376,6 +381,17 @@ class TestConfigAndTrace:
         assert back.ks == t.ks
         assert back.residuals == t.residuals
         assert back.stepsizes == t.stepsizes
+
+    @pytest.mark.parametrize("row", ["1,nan,0.5,1", "1,inf,0.5,1", "1,2,0.5,x",
+                                     "1.5,2,0.5,1", "1,2,0.5"])
+    def test_trace_csv_bad_row_names_line(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"k,residual,stepsize,heuristic\n0,3,0.5,inf\n\n{row}\n2,1,nan,1.4\n")
+        with pytest.raises(FormatError) as err:
+            read_trace_csv(path)
+        assert str(err.value).startswith(f"{path}:4:")
+        path.write_text("k,residual,stepsize,heuristic\n0,3,0.5,inf\n\n2,1,nan,1.4\n")
+        assert read_trace_csv(path).ks == [0, 2]
 
     def test_trace_csv_not_utf8(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -566,6 +566,15 @@ class TestSamplesCSV:
         with pytest.raises(FormatError):
             read_samples_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,2,0,nan,0,0", "1,2,0,1e999,0,0", "-inf,2,0,0,0,0",
+                                     "1,2,0,x,0,0", "1,2,0,0,0"])
+    def test_bad_row_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,z,ux,uy,uz\n{row}\n")
+        with pytest.raises(FormatError) as err:
+            read_samples_csv(path)
+        assert str(err.value).startswith(f"{path}:2:")
+
 
 class TestTrackingConfig:
     def test_roundtrip(self, tmp_path):
