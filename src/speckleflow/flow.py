@@ -170,48 +170,81 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
     """Assemble the sparse SPD system whose solution minimizes the flow
     functional.
 
-    The matrix is the Hessian of the discrete functional, written with the
-    functional's own operators on the interleaved unknowns: the component
-    pickers u1, u2, the data operator G = diag(Ix) u1 + diag(Iy) u2, the
-    forward differences Dx, Dy and the per-cell divergence div, so that
+    The matrix is the Hessian of the discrete functional.  With the
+    component pickers u1, u2 of the interleaved unknowns, the data operator
+    G = diag(Ix) u1 + diag(Iy) u2, the forward differences Dx, Dy and the
+    per-cell divergence div (the cell's lower-left pixel's forward
+    differences),
 
         A = 2 (G'G + alpha kron(Dx'Dx + Dy'Dy, I2) + beta diag(W x 1_2)
                + gamma div'div),
         y = 2 (-G' It + beta WU).
+
+    A is built directly as its bands, each computed elementwise.  With deg
+    the number of a pixel's neighbours, and div'div the integer sums over
+    cells (the number of cells of an unknown on the diagonal, the product
+    of two unknowns' weights in the one cell they share off it):
+
+        offset 0               Ix^2 or Iy^2 + alpha deg + beta W + gamma div'div,
+        offsets +-1            Ix Iy between a pixel's u1 and u2 + gamma div'div,
+        offsets +-2, +-2nx     -alpha between x- or y-neighbours + gamma div'div,
+        offsets +-(2nx -+ 1)   gamma div'div.
+
+    The terms are summed in the order of the formula, so every entry is
+    bit for bit the one the operator products give, and, as there, exact
+    zeros are not stored.
     """
     _check_fields(gradI, It)
     nx, ny = It.nx, It.ny
     n = nx * ny
     g = gradI.data.reshape(n, 2)
     it = It.data.ravel()
-
-    u1 = sp.kron(sp.identity(n), [[1.0, 0.0]], format="csr")
-    u2 = sp.kron(sp.identity(n), [[0.0, 1.0]], format="csr")
-    G = sp.diags(g[:, 0]) @ u1 + sp.diags(g[:, 1]) @ u2
-    # 1-D forward differences (d v)_i = v_(i+1) - v_i
-    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx), format="csr")
-    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny), format="csr")
-    Dx = sp.kron(sp.identity(ny), dx)
-    Dy = sp.kron(dy, sp.identity(nx))
-    H = G.T @ G + p.alpha * sp.kron(Dx.T @ Dx + Dy.T @ Dy, sp.identity(2))
-    y = -(G.T @ it)
+    col = np.tile(np.arange(nx), ny)
+    row = np.repeat(np.arange(ny), nx)
+    deg = 4.0 - (col == 0) - (col == nx - 1) - (row == 0) - (row == ny - 1)
+    east = (col < nx - 1).astype(np.float64)  # pixel p + 1 is a neighbour
+    north = (row < ny - 1).astype(np.float64)  # pixel p + nx is a neighbour
+    zero = np.zeros(n)
+    # band k holds entry (i, i + k) at [p, c] for the unknown i = 2p + c
+    bands = {0: g * g + p.alpha * deg[:, None],
+             1: np.stack([g[:, 0] * g[:, 1], zero], axis=1)}
+    if nx > 1:
+        bands[2] = np.repeat(-p.alpha * east[:, None], 2, axis=1)
+    if ny > 1:
+        bands[2 * nx] = np.repeat(-p.alpha * north[:, None], 2, axis=1)
+    # summed from 0.0 as the sparse product G'It is, for the signs of zeros
+    rhs = -(0.0 + g * it[:, None]).ravel()
     constant = float(it @ it)
     translation = g.T @ g
 
     if p.beta > 0 and samples:
         W, WU, wu2 = _sample_fields(nx, ny, samples, p.sigma_g)
-        H = H + p.beta * sp.diags(np.repeat(W.ravel(), 2))
-        y = y + p.beta * WU.ravel()
+        bands[0] = bands[0] + p.beta * W.reshape(n, 1)
+        rhs = rhs + p.beta * WU.ravel()
         constant += p.beta * wu2
         translation = translation + p.beta * W.sum() * np.identity(2)
 
-    if p.gamma > 0:
-        # divergence of each cell from its lower-left pixel's forward differences
-        div = (sp.kron(sp.eye(ny - 1, ny), dx) @ u1
-               + sp.kron(dy, sp.eye(nx - 1, nx)) @ u2)
-        H = H + p.gamma * (div.T @ div)
+    if p.gamma > 0 and nx > 1 and ny > 1:
+        cell = east * north  # pixel p is the lower-left pixel of a cell
+        west = np.concatenate([[0.0], cell[:-1]])  # ... or pixel p - 1 is
+        south = np.concatenate([zero[:nx], cell[:-nx]])  # ... or pixel p - nx is
+        gc = p.gamma * cell
+        bands[0] = bands[0] + p.gamma * np.stack([cell + west, cell + south], axis=1)
+        bands[1] = bands[1] + np.stack([gc, -gc], axis=1)
+        bands[2] = bands[2] + np.stack([-gc, zero], axis=1)
+        bands[2 * nx - 1] = np.stack([p.gamma * west, zero], axis=1)
+        bands[2 * nx] = bands[2 * nx] + np.stack([zero, -gc], axis=1)
+        bands[2 * nx + 1] = np.stack([-gc, zero], axis=1)
 
-    return FlowSystem(matrix=sp.csr_matrix(2.0 * H), rhs=2.0 * y, nx=nx, ny=ny,
+    for band in bands.values():
+        band *= 2.0
+    m = 2 * n
+    offsets = sorted(bands)
+    diagonals = [bands[k].ravel()[:m - k] for k in offsets]
+    # the conversion to CSR drops exact zeros
+    A = sp.diags(diagonals + diagonals[1:], offsets + [-k for k in offsets[1:]],
+                 shape=(m, m), format="csr")
+    return FlowSystem(matrix=A, rhs=2.0 * rhs, nx=nx, ny=ny,
                       constant=constant, translation=translation)
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from speckleflow import linsolve
 from speckleflow.errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
@@ -186,6 +187,71 @@ class TestFunctionalAndAssembly:
         with pytest.raises(DomainError):
             FlowParams(alpha=0.1, beta=1.0, sigma_g=0.3)
         FlowParams(alpha=0.1, beta=0.0, sigma_g=0.3)  # irrelevant when beta=0
+
+
+def assemble_from_operators(gradI, It, samples, p):
+    """The flow system from sparse products of the functional's operators:
+    the pickers u1, u2, G = diag(Ix) u1 + diag(Iy) u2, the forward
+    differences Dx, Dy and the per-cell divergence, summed as
+    A = 2 (((G'G + alpha kron(Dx'Dx + Dy'Dy, I2)) + beta diag(W x 1_2))
+           + gamma div'div)."""
+    nx, ny = It.nx, It.ny
+    n = nx * ny
+    g = gradI.data.reshape(n, 2)
+    it = It.data.ravel()
+    u1 = sp.kron(sp.identity(n), [[1.0, 0.0]], format="csr")
+    u2 = sp.kron(sp.identity(n), [[0.0, 1.0]], format="csr")
+    G = sp.diags(g[:, 0]) @ u1 + sp.diags(g[:, 1]) @ u2
+    dx = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx), format="csr")
+    dy = sp.diags([-1.0, 1.0], [0, 1], shape=(ny - 1, ny), format="csr")
+    Dx = sp.kron(sp.identity(ny), dx)
+    Dy = sp.kron(dy, sp.identity(nx))
+    H = G.T @ G + p.alpha * sp.kron(Dx.T @ Dx + Dy.T @ Dy, sp.identity(2))
+    y = -(G.T @ it)
+    constant = float(it @ it)
+    translation = g.T @ g
+    if p.beta > 0 and samples:
+        W, WU, wu2 = _sample_fields(nx, ny, samples, p.sigma_g)
+        H = H + p.beta * sp.diags(np.repeat(W.ravel(), 2))
+        y = y + p.beta * WU.ravel()
+        constant += p.beta * wu2
+        translation = translation + p.beta * W.sum() * np.identity(2)
+    if p.gamma > 0:
+        div = (sp.kron(sp.eye(ny - 1, ny), dx) @ u1
+               + sp.kron(dy, sp.eye(nx - 1, nx)) @ u2)
+        H = H + p.gamma * (div.T @ div)
+    return sp.csr_matrix(2.0 * H), 2.0 * y, constant, translation
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("frames", ["random", "flat"])
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 7), (7, 2), (31, 17), (64, 48)])
+    def test_matches_operator_products(self, nx, ny, frames):
+        rng = np.random.default_rng(nx * ny)
+        i1 = rng.random((ny, nx)) if frames == "random" else np.full((ny, nx), 0.5)
+        i2 = np.roll(i1, 1, axis=1) + 0.1 * rng.standard_normal((ny, nx))
+        grad = spatial_gradient(ScalarGrid(nx, ny, i1))
+        it = temporal_difference(ScalarGrid(nx, ny, i1), ScalarGrid(nx, ny, i2))
+        samples = [DisplacementSample(position=rng.uniform(0, max(nx, ny) - 1, 2),
+                                      displacement=rng.standard_normal(2))
+                   for _ in range(3)]
+        for alpha in (0.0, 0.7):
+            for beta, s in ((0.0, samples), (1.3, []), (1.3, samples)):
+                for gamma in (0.0, 0.4, 50.0):
+                    if alpha + beta == 0:
+                        continue
+                    p = FlowParams(alpha=alpha, beta=beta, gamma=gamma, sigma_g=1.5)
+                    sys = assemble(grad, it, s, p)
+                    A, rhs, constant, translation = assemble_from_operators(grad, it, s, p)
+                    B = sys.matrix
+                    assert B.has_canonical_format and np.all(B.data != 0)
+                    assert np.array_equal(B.indptr, A.indptr)
+                    assert np.array_equal(B.indices, A.indices)
+                    # bitwise, so that the signs of zeros count
+                    assert np.array_equal(B.data.view(np.int64), A.data.view(np.int64))
+                    assert np.array_equal(sys.rhs.view(np.int64), rhs.view(np.int64))
+                    assert np.array_equal(sys.constant, constant)
+                    assert np.array_equal(sys.translation, translation)
 
 
 class TestHornSchunckEquivalence:
