@@ -21,7 +21,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import invert as invertmod
-from .config import write_lines
+from .config import naming_path, write_lines
 from .elastic import (LameField, forward_solve, read_bc_config,
                       write_bc_config, young_modulus)
 from .errors import FormatError, SpeckleFlowError
@@ -185,6 +185,8 @@ def _cmd_invert(args):
     udelta = _as_vector(read_f64grid(args.data), "data")
     bc = read_bc_config(args.bc)
     cfg = invertmod.InversionConfig.from_config(args.config)
+    with naming_path(args.config):
+        cfg.check_extents(udelta.nx, udelta.ny)
     lame, trace = invertmod.nesterov_iterate(cfg, udelta, bc)
     write_lame_dir(args.out, lame)
     write_f64grid(Path(args.out) / "young.f64grid", young_modulus(lame))

@@ -20,7 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-from .errors import DomainError, FormatError, SpecError
+from .errors import DomainError, FormatError, ShapeMismatch, SpecError
 
 _TYPES = {t.__name__: t for t in (int, float, str, bool)}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -119,9 +119,9 @@ def read_config(path, what: str, *schemas) -> dict:
 
 @contextmanager
 def naming_path(path):
-    """Prefix `path` to a `DomainError` or `SpecError` raised inside, such as
-    a config value failing its dataclass's check."""
+    """Prefix `path` to a `DomainError`, `SpecError` or `ShapeMismatch`
+    raised inside, such as a config value failing its dataclass's check."""
     try:
         yield
-    except (DomainError, SpecError) as exc:
+    except (DomainError, SpecError, ShapeMismatch) as exc:
         raise type(exc)(f"{path}: {exc}") from None

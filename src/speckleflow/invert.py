@@ -134,6 +134,13 @@ class InversionConfig:
             if not np.all(np.isin(vals, (0.0, 1.0))):
                 raise DomainError("boundary mask must be binary")
 
+    def check_extents(self, nx: int, ny: int) -> None:
+        """`ShapeMismatch` unless the boundary mask, if any, is nx x ny."""
+        m = self.boundary_mask
+        if m is not None and (m.nx, m.ny) != (nx, ny):
+            raise ShapeMismatch(f"boundary mask extents {m.nx}x{m.ny} differ from "
+                                f"the data grid {nx}x{ny}")
+
     def initial_for(self, nx: int, ny: int, spacing: float = 1.0) -> LameField:
         return LameField.constant(nx, ny, self.lambda0, self.mu0, spacing)
 
@@ -327,9 +334,7 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     nx, ny = udelta.nx, udelta.ny
     model = ElasticModel(nx, ny, bc, h)
     initial = cfg.initial_for(nx, ny, h)
-    if cfg.boundary_mask is not None and \
-            (cfg.boundary_mask.nx, cfg.boundary_mask.ny) != (nx, ny):
-        raise ShapeMismatch("boundary mask extents differ from the data grid")
+    cfg.check_extents(nx, ny)
 
     trace = IterationTrace()
     prev = cur = kept = (initial.lam.data.copy(), initial.mu.data.copy())

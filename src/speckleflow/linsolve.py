@@ -185,7 +185,8 @@ class _Level:
         self.A = A
         self.P = prolongation(nx, ny)
         self.R = self.P.T.tocsr()
-        a, c, b = A.diagonal()[0::2], A.diagonal()[1::2], A.diagonal(1)[0::2]
+        d = A.diagonal()
+        a, c, b = d[0::2], d[1::2], A.diagonal(1)[0::2]
         det = a * c - b * b
         if not (np.all(a > 0) and np.all(det > 0)):
             raise NotSPD("a 2x2 diagonal block is not positive definite")

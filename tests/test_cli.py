@@ -7,7 +7,7 @@ from speckleflow.cli import main, read_lame_dir, read_pgm, write_lame_dir, write
 from speckleflow.elastic import LameField
 from speckleflow.errors import FormatError
 from speckleflow.grids import ScalarGrid, VectorGrid, read_f64grid, write_f64grid
-from speckleflow.invert import read_trace_csv
+from speckleflow.invert import boundary_band_mask, read_trace_csv
 from speckleflow.speckle import read_samples_csv
 
 
@@ -242,6 +242,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {binary}: not a UTF-8 text file")
         assert "Traceback" not in err
+
+    def test_mask_extents_named(self, tmp_path, capsys):
+        data = tmp_path / "u.f64grid"
+        write_f64grid(data, VectorGrid.zeros(8, 8))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet bottom both 0\ntraction top 0.3 -1\n")
+        mask = tmp_path / "m.f64grid"
+        write_f64grid(mask, boundary_band_mask(6, 5, 1))
+        cfg = tmp_path / "inv.cfg"
+        cfg.write_text(f"mask_file = {mask}\n")
+        out = tmp_path / "rec"
+        assert main(["invert", "--data", str(data), "--bc", str(bc), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: boundary mask extents 6x5 "
+                                           f"differ from the data grid 8x8\n")
+        assert not out.exists()
 
     def test_underconstrained_forward_is_runtime_error(self, tmp_path, capsys):
         lame = tmp_path / "lame"
