@@ -332,9 +332,9 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     """
     h = udelta.spacing
     nx, ny = udelta.nx, udelta.ny
+    cfg.check_extents(nx, ny)
     model = ElasticModel(nx, ny, bc, h)
     initial = cfg.initial_for(nx, ny, h)
-    cfg.check_extents(nx, ny)
 
     trace = IterationTrace()
     prev = cur = kept = (initial.lam.data.copy(), initial.mu.data.copy())

@@ -315,6 +315,13 @@ class TestFieldError:
 
 
 class TestConfigAndTrace:
+    def test_mask_extents_checked(self):
+        _, bc, u_true, *_ = small_phantom(1)
+        cfg = InversionConfig(boundary_mask=boundary_band_mask(6, 5, 1))
+        with pytest.raises(ShapeMismatch, match="^boundary mask extents 6x5 differ "
+                                                "from the data grid 24x24$"):
+            nesterov_iterate(cfg, u_true, bc)
+
     def test_config_parsing(self, tmp_path):
         path = tmp_path / "inv.cfg"
         path.write_text("tau = 1.5\ndelta = 0.1\nmax_iter = 50\n"
