@@ -228,13 +228,12 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
         cell = east * north  # pixel p is the lower-left pixel of a cell
         west = np.concatenate([[0.0], cell[:-1]])  # ... or pixel p - 1 is
         south = np.concatenate([zero[:nx], cell[:-nx]])  # ... or pixel p - nx is
-        gc = p.gamma * cell
         bands[0] = bands[0] + p.gamma * np.stack([cell + west, cell + south], axis=1)
-        bands[1] = bands[1] + np.stack([gc, -gc], axis=1)
-        bands[2] = bands[2] + np.stack([-gc, zero], axis=1)
-        bands[2 * nx - 1] = np.stack([p.gamma * west, zero], axis=1)
-        bands[2 * nx] = bands[2 * nx] + np.stack([zero, -gc], axis=1)
-        bands[2 * nx + 1] = np.stack([-gc, zero], axis=1)
+        bands[1] = bands[1] + p.gamma * np.stack([cell, -cell], axis=1)
+        bands[2] = bands[2] + p.gamma * np.stack([-cell, zero], axis=1)
+        bands[2 * nx - 1] = p.gamma * np.stack([west, zero], axis=1)
+        bands[2 * nx] = bands[2 * nx] + p.gamma * np.stack([zero, -cell], axis=1)
+        bands[2 * nx + 1] = p.gamma * np.stack([-cell, zero], axis=1)
 
     for band in bands.values():
         band *= 2.0
