@@ -109,12 +109,12 @@ def read_lame_dir(path) -> LameField:
     return LameField(lam, mu)
 
 
-def _as_volume(obj) -> Volume:
+def _as_volume(obj, what) -> Volume:
     if isinstance(obj, Volume):
         return obj
     if isinstance(obj, ScalarGrid):
         return Volume.from_array(obj.data)
-    raise FormatError("expected a scalar volume")
+    raise FormatError(f"{what} must be a scalar volume")
 
 
 def _as_scalar(obj, what) -> ScalarGrid:
@@ -138,13 +138,15 @@ def _cmd_synth(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if spec.kind == "moving_squares":
-        i1, i2, true_flow, samples = make_moving_squares(spec)
+        with naming_path(args.spec):
+            i1, i2, true_flow, samples = make_moving_squares(spec)
         write_f64grid(out / "i1.f64grid", i1)
         write_f64grid(out / "i2.f64grid", i2)
         write_f64grid(out / "flow_true.f64grid", true_flow)
         write_samples_csv(out / "samples.csv", samples)
     else:
-        lame, bc, u_true, i1, i2, samples = make_inclusion_phantom(spec)
+        with naming_path(args.spec):
+            lame, bc, u_true, i1, i2, samples = make_inclusion_phantom(spec)
         write_lame_dir(out / "lame", lame)
         write_bc_config(out / "bc.cfg", bc)
         write_f64grid(out / "u_true.f64grid", u_true)
@@ -155,8 +157,8 @@ def _cmd_synth(args):
 
 
 def _cmd_track(args):
-    v1 = _as_volume(read_f64grid(args.a))
-    v2 = _as_volume(read_f64grid(args.b))
+    v1 = _as_volume(read_f64grid(args.a), "a")
+    v2 = _as_volume(read_f64grid(args.b), "b")
     crit, top_fraction, presmooth = tracking_config(args.config)
     samples = run_tracking(v1, v2, crit, top_fraction, presmooth)
     write_samples_csv(args.out, samples)

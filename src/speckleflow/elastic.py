@@ -14,9 +14,10 @@ displacement includes the prescribed boundary values.
 
 The parameter-to-solution map (lambda, mu) -> u is differentiable; its
 directional derivative and the adjoint of that derivative are one extra
-linear solve each with the same stiffness matrix.  Discrete L2 pairings
-use plain pixel sums weighted by the cell area, and the adjoint is the
-exact transpose of the derivative under those pairings.
+linear solve each with the same stiffness matrix.  Every length is in
+pixels: a cell is the unit square, a traction is a load per pixel edge,
+discrete L2 pairings are plain pixel sums, and the adjoint is the exact
+transpose of the derivative under those pairings.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .config import content_lines, finite_float, write_lines
+from .config import content_lines, finite_float, naming_path, write_lines
 from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
                      NotSPD, ShapeMismatch, SingularSystem)
 from .grids import ScalarGrid, VectorGrid
@@ -68,9 +69,9 @@ class LameField:
             raise DomainError(f"mu must be at least {MU_FLOOR} everywhere")
 
     @classmethod
-    def constant(cls, nx, ny, lam, mu, spacing=1.0):
-        return cls(ScalarGrid(nx, ny, np.full((ny, nx), float(lam)), spacing),
-                   ScalarGrid(nx, ny, np.full((ny, nx), float(mu)), spacing))
+    def constant(cls, nx, ny, lam, mu):
+        return cls(ScalarGrid(nx, ny, np.full((ny, nx), float(lam))),
+                   ScalarGrid(nx, ny, np.full((ny, nx), float(mu))))
 
 
 @dataclass
@@ -116,19 +117,19 @@ def _side_nodes(side, nx, ny):
     return np.arange(ny) * nx + (nx - 1)
 
 
-def _element_matrices(h):
-    """8x8 element stiffness for unit lambda and unit mu on a square cell."""
+def _element_matrices():
+    """8x8 element stiffness for unit lambda and unit mu on the unit cell."""
     gp = 1.0 / np.sqrt(3.0)
     corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
     k_lam = np.zeros((8, 8))
     k_mu = np.zeros((8, 8))
-    det_j = (h / 2.0) ** 2
+    det_j = 0.25
     for xi in (-gp, gp):
         for eta in (-gp, gp):
             dn_dxi = 0.25 * corners[:, 0] * (1.0 + eta * corners[:, 1])
             dn_deta = 0.25 * corners[:, 1] * (1.0 + xi * corners[:, 0])
-            dn_dx = dn_dxi * 2.0 / h
-            dn_dy = dn_deta * 2.0 / h
+            dn_dx = dn_dxi * 2.0
+            dn_dy = dn_deta * 2.0
             div = np.zeros(8)
             div[0::2] = dn_dx
             div[1::2] = dn_dy
@@ -159,13 +160,13 @@ class ElasticModel:
     to precondition the forward solve of a nearby Lame field.
     """
 
-    def __init__(self, nx, ny, bc: BoundaryConditions, spacing=1.0):
+    def __init__(self, nx, ny, bc: BoundaryConditions):
         if nx < 2 or ny < 2:
             raise DomainError("elasticity needs at least a 2x2 grid")
-        self.nx, self.ny, self.h = nx, ny, float(spacing)
+        self.nx, self.ny = nx, ny
         self.n_nodes = nx * ny
         self.bc = bc
-        self.k_lam_e, self.k_mu_e = _element_matrices(self.h)
+        self.k_lam_e, self.k_mu_e = _element_matrices()
 
         idx = np.arange(self.n_nodes).reshape(ny, nx)
         n00 = idx[:-1, :-1].ravel()
@@ -221,13 +222,12 @@ class ElasticModel:
 
     def _build_load(self):
         load = np.zeros(2 * self.n_nodes)
-        h = self.h
         for side, value in self.bc.traction:
             nodes = _side_nodes(side, self.nx, self.ny)
             t = np.asarray(value, dtype=np.float64)
             # trapezoidal edge quadrature: end nodes carry half an edge
-            w = np.full(nodes.size, h)
-            w[0] = w[-1] = h / 2.0
+            w = np.ones(nodes.size)
+            w[0] = w[-1] = 0.5
             load[2 * nodes] += w * t[0]
             load[2 * nodes + 1] += w * t[1]
         self.load = load
@@ -300,7 +300,7 @@ class ElasticFactors:
         check_solution(system.K_ff, x, system.rhs)
         u = m.lift.copy()
         u[m.free] += x
-        return VectorGrid(m.nx, m.ny, u.reshape(m.ny, m.nx, 2), m.h)
+        return VectorGrid(m.nx, m.ny, u.reshape(m.ny, m.nx, 2))
 
     def solve_homogeneous(self, rhs_full: np.ndarray) -> np.ndarray:
         """Solve K w = rhs with w = 0 on the Dirichlet nodes."""
@@ -331,21 +331,20 @@ class ElasticFactors:
         m = self.model
         rhs = -self.parameter_stiffness_apply(dlam, dmu, u.data.ravel())
         w = self.solve_homogeneous(rhs)
-        return VectorGrid(m.nx, m.ny, w.reshape(m.ny, m.nx, 2), m.h)
+        return VectorGrid(m.nx, m.ny, w.reshape(m.ny, m.nx, 2))
 
     def derivative_adjoint(self, u: VectorGrid, w: VectorGrid):
         m = self.model
-        q = self.solve_homogeneous((m.h * m.h) * w.data.ravel())
+        q = self.solve_homogeneous(w.data.ravel())
         u_flat = u.data.ravel()
         ue = u_flat[m.cell_dofs]
         qe = q[m.cell_dofs]
         cell_lam = np.einsum("ei,ij,ej->e", ue, m.k_lam_e, qe)
         cell_mu = np.einsum("ei,ij,ej->e", ue, m.k_mu_e, qe)
-        inv_area = 1.0 / (m.h * m.h)
-        g_lam = -inv_area * m.spread_to_nodes(cell_lam)
-        g_mu = -inv_area * m.spread_to_nodes(cell_mu)
-        return (ScalarGrid(m.nx, m.ny, g_lam.reshape(m.ny, m.nx), m.h),
-                ScalarGrid(m.nx, m.ny, g_mu.reshape(m.ny, m.nx), m.h))
+        g_lam = -m.spread_to_nodes(cell_lam)
+        g_mu = -m.spread_to_nodes(cell_mu)
+        return (ScalarGrid(m.nx, m.ny, g_lam.reshape(m.ny, m.nx)),
+                ScalarGrid(m.nx, m.ny, g_mu.reshape(m.ny, m.nx)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ class ElasticFactors:
 
 def forward_solve(p: LameField, bc: BoundaryConditions) -> VectorGrid:
     """Displacement of the sample with Lame field p under bc."""
-    model = ElasticModel(p.lam.nx, p.lam.ny, bc, p.lam.spacing)
+    model = ElasticModel(p.lam.nx, p.lam.ny, bc)
     return model.factorize(p).solve_forward()
 
 
@@ -364,7 +363,7 @@ def frechet_apply(p: LameField, u: VectorGrid, dlam: ScalarGrid,
     direction (dlam, dmu), given u = forward_solve(p, bc)."""
     if (dlam.nx, dlam.ny) != (p.lam.nx, p.lam.ny):
         raise ShapeMismatch("direction extents differ from the parameter grid")
-    model = ElasticModel(p.lam.nx, p.lam.ny, bc, p.lam.spacing)
+    model = ElasticModel(p.lam.nx, p.lam.ny, bc)
     return model.factorize(p).derivative_apply(dlam.data, dmu.data, u)
 
 
@@ -379,7 +378,7 @@ def frechet_adjoint(p: LameField, u: VectorGrid, w: VectorGrid,
     """
     if (w.nx, w.ny) != (p.lam.nx, p.lam.ny):
         raise ShapeMismatch("w extents differ from the parameter grid")
-    model = ElasticModel(p.lam.nx, p.lam.ny, bc, p.lam.spacing)
+    model = ElasticModel(p.lam.nx, p.lam.ny, bc)
     return model.factorize(p).derivative_adjoint(u, w)
 
 
@@ -390,8 +389,7 @@ def young_modulus(p: LameField) -> ScalarGrid:
     denom = lam + mu
     if np.any(denom == 0):
         raise DivisionByZero("lambda + mu vanishes somewhere")
-    return ScalarGrid(p.lam.nx, p.lam.ny, mu * (3.0 * lam + 2.0 * mu) / denom,
-                      p.lam.spacing)
+    return ScalarGrid(p.lam.nx, p.lam.ny, mu * (3.0 * lam + 2.0 * mu) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +417,8 @@ def read_bc_config(path) -> BoundaryConditions:
             traction.append((parts[1], (tx, ty)))
         else:
             raise FormatError(f"{where}: unrecognized boundary line")
-    return BoundaryConditions(dirichlet=dirichlet, traction=traction)
+    with naming_path(path):
+        return BoundaryConditions(dirichlet=dirichlet, traction=traction)
 
 
 def write_bc_config(path, bc: BoundaryConditions) -> None:

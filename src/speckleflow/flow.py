@@ -319,7 +319,7 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         if s < p.levels - 1:
             u = prolong(u, a.nx, a.ny, 1.0 / p.eta)
         up = u.data
-        grad_a = spatial_gradient(ScalarGrid(a.nx, a.ny, a.data))  # index units
+        grad_a = spatial_gradient(a)
         warped = _warp(b.data, up)
         # temporal term re-centered at the estimate
         it_eff = (warped - a.data) - (grad_a.data[:, :, 0] * up[:, :, 0]

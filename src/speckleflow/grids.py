@@ -7,8 +7,8 @@ ScalarGrid data is stored as an (ny, nx) float array, VectorGrid data as
 (ny, nx, 2) with components (u1, u2) = (x, y), and Volume data as
 (nz, ny, nx).  Index order is therefore row-major with x fastest, matching
 the on-disk F64GRID layout.  The y axis points from row 0 ("bottom") to row
-ny-1 ("top"); displacements are measured in pixels unless a physical
-spacing is set.
+ny-1 ("top").  Every length is measured in pixels: positions,
+displacements and derivatives alike.
 """
 
 from __future__ import annotations
@@ -50,25 +50,22 @@ class ScalarGrid:
     nx: int
     ny: int
     data: np.ndarray
-    spacing: float = 1.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise DomainError("grid extents must be positive")
-        if self.spacing <= 0:
-            raise DomainError("spacing must be positive")
         self.data = np.asarray(self.data, dtype=np.float64).reshape(self.ny, self.nx)
         _check_finite(self.data, "ScalarGrid")
 
     @classmethod
-    def from_array(cls, arr, spacing=1.0):
+    def from_array(cls, arr):
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeMismatch(f"expected 2-D array, got shape {arr.shape}")
-        return cls(nx=arr.shape[1], ny=arr.shape[0], data=arr, spacing=spacing)
+        return cls(nx=arr.shape[1], ny=arr.shape[0], data=arr)
 
     def copy(self):
-        return ScalarGrid(self.nx, self.ny, self.data.copy(), self.spacing)
+        return ScalarGrid(self.nx, self.ny, self.data.copy())
 
 
 @dataclass
@@ -78,28 +75,25 @@ class VectorGrid:
     nx: int
     ny: int
     data: np.ndarray
-    spacing: float = 1.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise DomainError("grid extents must be positive")
-        if self.spacing <= 0:
-            raise DomainError("spacing must be positive")
         self.data = np.asarray(self.data, dtype=np.float64).reshape(self.ny, self.nx, 2)
         _check_finite(self.data, "VectorGrid")
 
     @classmethod
-    def from_arrays(cls, ux, uy, spacing=1.0):
+    def from_arrays(cls, ux, uy):
         ux = np.asarray(ux, dtype=np.float64)
         uy = np.asarray(uy, dtype=np.float64)
         if ux.shape != uy.shape or ux.ndim != 2:
             raise ShapeMismatch("component arrays must be 2-D with equal shape")
         return cls(nx=ux.shape[1], ny=ux.shape[0],
-                   data=np.stack([ux, uy], axis=-1), spacing=spacing)
+                   data=np.stack([ux, uy], axis=-1))
 
     @classmethod
-    def zeros(cls, nx, ny, spacing=1.0):
-        return cls(nx, ny, np.zeros((ny, nx, 2)), spacing)
+    def zeros(cls, nx, ny):
+        return cls(nx, ny, np.zeros((ny, nx, 2)))
 
     @property
     def ux(self):
@@ -110,7 +104,7 @@ class VectorGrid:
         return self.data[:, :, 1]
 
     def copy(self):
-        return VectorGrid(self.nx, self.ny, self.data.copy(), self.spacing)
+        return VectorGrid(self.nx, self.ny, self.data.copy())
 
 
 @dataclass
@@ -167,18 +161,6 @@ def normalize_intensity(v: Volume, log_scale: bool) -> Volume:
     return Volume(v.nx, v.ny, v.nz, out)
 
 
-def _kernel_radius(sigma: float) -> int:
-    return int(math.ceil(4.0 * sigma))
-
-
-def gaussian_kernel1d(sigma: float) -> np.ndarray:
-    """Discrete Gaussian, truncated at radius ceil(4*sigma), renormalized."""
-    r = _kernel_radius(sigma)
-    x = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
-
-
 def gaussian_filter(v: Volume, sigma: float) -> Volume:
     """Separable Gaussian smoothing with reflect padding.
 
@@ -190,7 +172,7 @@ def gaussian_filter(v: Volume, sigma: float) -> Volume:
         raise DomainError("sigma must be nonnegative")
     axes = [axis for axis, n in enumerate(v.data.shape) if n > 1]
     return Volume(v.nx, v.ny, v.nz, ndimage.gaussian_filter(
-        v.data, sigma, mode="reflect", radius=_kernel_radius(sigma), axes=axes))
+        v.data, sigma, mode="reflect", radius=math.ceil(4.0 * sigma), axes=axes))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +230,7 @@ def downsample(g: ScalarGrid, eta: float, sigma0: float) -> ScalarGrid:
     xs = np.arange(mx) * (g.nx / mx)
     ys = np.arange(my) * (g.ny / my)
     gx, gy = np.meshgrid(xs, ys)
-    return ScalarGrid(mx, my, bilinear_sample(smoothed.data[0], gx, gy), g.spacing / eta)
+    return ScalarGrid(mx, my, bilinear_sample(smoothed.data[0], gx, gy))
 
 
 def prolong(u: VectorGrid, nx: int, ny: int, scale: float) -> VectorGrid:
@@ -263,7 +245,7 @@ def prolong(u: VectorGrid, nx: int, ny: int, scale: float) -> VectorGrid:
     xs = np.arange(nx) * (u.nx / nx)
     ys = np.arange(ny) * (u.ny / ny)
     gx, gy = np.meshgrid(xs, ys)
-    return VectorGrid(nx, ny, scale * bilinear_sample(u.data, gx, gy), u.spacing)
+    return VectorGrid(nx, ny, scale * bilinear_sample(u.data, gx, gy))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +256,8 @@ def spatial_gradient(g: ScalarGrid) -> VectorGrid:
     """Gradient by central differences, one-sided at the borders."""
     if g.nx < 2 or g.ny < 2:
         raise GridTooSmall(f"a gradient needs at least 2x2 pixels, got {g.nx}x{g.ny}")
-    dy, dx = np.gradient(g.data, g.spacing)
-    return VectorGrid(g.nx, g.ny, np.stack([dx, dy], axis=-1), g.spacing)
+    dy, dx = np.gradient(g.data)
+    return VectorGrid(g.nx, g.ny, np.stack([dx, dy], axis=-1))
 
 
 def temporal_difference(i1: ScalarGrid, i2: ScalarGrid) -> ScalarGrid:
@@ -283,7 +265,7 @@ def temporal_difference(i1: ScalarGrid, i2: ScalarGrid) -> ScalarGrid:
     if (i1.nx, i1.ny) != (i2.nx, i2.ny):
         raise ShapeMismatch(
             f"extent mismatch: {i1.nx}x{i1.ny} vs {i2.nx}x{i2.ny}")
-    return ScalarGrid(i1.nx, i1.ny, i2.data - i1.data, i1.spacing)
+    return ScalarGrid(i1.nx, i1.ny, i2.data - i1.data)
 
 
 # ---------------------------------------------------------------------------

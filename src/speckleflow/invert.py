@@ -8,9 +8,10 @@ extrapolation.  Freezing the parameters near the boundary (where they are
 assumed known) is supported through a binary mask whose entries never
 change across the iteration.
 
-Discrete L2 inner products are pixel sums weighted by the cell area; the
-adjoint solves in :mod:`speckleflow.elastic` are exact transposes under
-these pairings, so the stepsizes below have their textbook meaning.
+Every length is in pixels, so discrete L2 inner products are plain pixel
+sums; the adjoint solves in :mod:`speckleflow.elastic` are exact
+transposes under these pairings, so the stepsizes below have their
+textbook meaning.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ _STEPSIZES = ("steepest", "printed", "constant")
 _STOPPING = ("discrepancy", "heuristic", "manual")
 
 
-def field_inner(a: np.ndarray, b: np.ndarray, spacing: float = 1.0) -> float:
-    """Discrete L2 pairing: cell-area-weighted pixel sum."""
-    return float(np.sum(a * b)) * spacing * spacing
+def field_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Discrete L2 pairing: plain pixel sum."""
+    return float(np.sum(a * b))
 
 
-def field_norm(a: np.ndarray, spacing: float = 1.0) -> float:
-    return math.sqrt(field_inner(a, a, spacing))
+def field_norm(a: np.ndarray) -> float:
+    return math.sqrt(field_inner(a, a))
 
 
 def field_error(u_est: VectorGrid, u_true: VectorGrid):
@@ -78,7 +79,7 @@ def field_error(u_est: VectorGrid, u_true: VectorGrid):
     return total, comps[0], comps[1]
 
 
-def boundary_band_mask(nx: int, ny: int, width: int, spacing: float = 1.0) -> ScalarGrid:
+def boundary_band_mask(nx: int, ny: int, width: int) -> ScalarGrid:
     """Binary mask that freezes a band of pixels along all four sides."""
     if width < 0:
         raise DomainError("band width must be nonnegative")
@@ -88,7 +89,7 @@ def boundary_band_mask(nx: int, ny: int, width: int, spacing: float = 1.0) -> Sc
         m[-width:, :] = 1.0
         m[:, :width] = 1.0
         m[:, -width:] = 1.0
-    return ScalarGrid(nx, ny, m, spacing)
+    return ScalarGrid(nx, ny, m)
 
 
 @dataclass
@@ -141,8 +142,8 @@ class InversionConfig:
             raise ShapeMismatch(f"boundary mask extents {m.nx}x{m.ny} differ from "
                                 f"the data grid {nx}x{ny}")
 
-    def initial_for(self, nx: int, ny: int, spacing: float = 1.0) -> LameField:
-        return LameField.constant(nx, ny, self.lambda0, self.mu0, spacing)
+    def initial_for(self, nx: int, ny: int) -> LameField:
+        return LameField.constant(nx, ny, self.lambda0, self.mu0)
 
     @classmethod
     def from_config(cls, path) -> "InversionConfig":
@@ -239,9 +240,9 @@ def _project(lam: np.ndarray, mu: np.ndarray):
     return np.maximum(lam, 0.0), np.maximum(mu, MU_FLOOR)
 
 
-def _stepsize(cfg: InversionConfig, factors, u, r_data, s_lam, s_mu, h: float):
+def _stepsize(cfg: InversionConfig, factors, u, r_data, s_lam, s_mu):
     """Stepsize for the masked gradient direction (s_lam, s_mu)."""
-    s_sq = field_inner(s_lam, s_lam, h) + field_inner(s_mu, s_mu, h)
+    s_sq = field_inner(s_lam, s_lam) + field_inner(s_mu, s_mu)
     if s_sq == 0:
         return 0.0
     if cfg.stepsize == "constant":
@@ -249,39 +250,39 @@ def _stepsize(cfg: InversionConfig, factors, u, r_data, s_lam, s_mu, h: float):
     if cfg.stepsize == "printed":
         # literal reading of the published rule: residual norm over the
         # norm of the pulled-back residual (the minimal-error stepsize)
-        r_sq = field_inner(r_data, r_data, h)
+        r_sq = field_inner(r_data, r_data)
         return r_sq / s_sq
     fs = factors.derivative_apply(s_lam, s_mu, u)
-    fs_sq = field_inner(fs.data, fs.data, h)
+    fs_sq = field_inner(fs.data, fs.data)
     if fs_sq == 0:
         return 0.0
     return s_sq / fs_sq
 
 
-def _lame(model: ElasticModel, point, h) -> LameField:
+def _lame(model: ElasticModel, point) -> LameField:
     lam, mu = point
-    return LameField(ScalarGrid(model.nx, model.ny, lam, h),
-                     ScalarGrid(model.nx, model.ny, mu, h))
+    return LameField(ScalarGrid(model.nx, model.ny, lam),
+                     ScalarGrid(model.nx, model.ny, mu))
 
 
-def _evaluate(model: ElasticModel, point, udelta_data, h):
+def _evaluate(model: ElasticModel, point, udelta_data):
     """Factorize at point = (lam, mu) and solve forward.  Returns
     (factors, u, r) with r = u - udelta the data residual."""
-    factors = model.factorize(_lame(model, point, h))
+    factors = model.factorize(_lame(model, point))
     u = factors.solve_forward()
     return factors, u, u.data - udelta_data
 
 
-def _step(model: ElasticModel, cfg: InversionConfig, point, factors, u, r, h):
+def _step(model: ElasticModel, cfg: InversionConfig, point, factors, u, r):
     """Masked gradient, stepsize and projected update from a point evaluated
     by :func:`_evaluate`.  Returns (new point, stepsize)."""
     lam, mu = point
     g_lam, g_mu = factors.derivative_adjoint(
-        u, VectorGrid(model.nx, model.ny, r, h))
+        u, VectorGrid(model.nx, model.ny, r))
     mask = None if cfg.boundary_mask is None else cfg.boundary_mask.data
     s_lam = _masked(g_lam.data, mask)
     s_mu = _masked(g_mu.data, mask)
-    omega = _stepsize(cfg, factors, u, r, s_lam, s_mu, h)
+    omega = _stepsize(cfg, factors, u, r, s_lam, s_mu)
     if omega == 0.0:
         return point, 0.0
     return _project(lam - omega * s_lam, mu - omega * s_mu), omega
@@ -295,12 +296,11 @@ def landweber_step(p: LameField, udelta: VectorGrid, bc: BoundaryConditions,
     pixels receive a zero update; the result is projected back onto the
     admissible set (lambda >= 0, mu >= MU_FLOOR).
     """
-    h = p.lam.spacing
-    model = ElasticModel(p.lam.nx, p.lam.ny, bc, h)
+    model = ElasticModel(p.lam.nx, p.lam.ny, bc)
     point = (p.lam.data, p.mu.data)
-    factors, u, r = _evaluate(model, point, udelta.data, h)
-    new, omega = _step(model, cfg, point, factors, u, r, h)
-    return _lame(model, new, h), omega, field_norm(r, h)
+    factors, u, r = _evaluate(model, point, udelta.data)
+    new, omega = _step(model, cfg, point, factors, u, r)
+    return _lame(model, new), omega, field_norm(r)
 
 
 def _kept_k(stopping: str, trace: IterationTrace) -> int:
@@ -330,11 +330,10 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     (smallest residual; heuristic argmin for heuristic stopping) is
     returned and the trace is flagged 'max_iter'.
     """
-    h = udelta.spacing
     nx, ny = udelta.nx, udelta.ny
     cfg.check_extents(nx, ny)
-    model = ElasticModel(nx, ny, bc, h)
-    initial = cfg.initial_for(nx, ny, h)
+    model = ElasticModel(nx, ny, bc)
+    initial = cfg.initial_for(nx, ny)
 
     trace = IterationTrace()
     prev = cur = kept = (initial.lam.data.copy(), initial.mu.data.copy())
@@ -354,9 +353,9 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
         if not near or k < n_steps:
             factors = None
         if near:
-            system = model.reduce(_lame(model, cur, h))
+            system = model.reduce(_lame(model, cur))
         else:
-            factors, u, r = _evaluate(model, cur, udelta.data, h)
+            factors, u, r = _evaluate(model, cur, udelta.data)
         new, omega = cur, math.nan
         if k < n_steps:
             bar = cur
@@ -364,13 +363,13 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
                 alpha = nesterov_alpha(k + 1)
                 bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
                                cur[1] + alpha * (cur[1] - prev[1]))
-                factors, u, r = _evaluate(model, bar, udelta.data, h)
-            new, omega = _step(model, cfg, bar, factors, u, r, h)
+                factors, u, r = _evaluate(model, bar, udelta.data)
+            new, omega = _step(model, cfg, bar, factors, u, r)
         if near:
             u = factors.solve_forward(system)
             r = u.data - udelta.data
             del system
-        rnorm = field_norm(r, h)
+        rnorm = field_norm(r)
 
         trace.append(k, rnorm, omega)
         if _kept_k(cfg.stopping, trace) == k:
@@ -384,7 +383,7 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
         trace.k_star = _kept_k(cfg.stopping, trace)
 
     lam, mu = kept
-    return _lame(model, (lam.copy(), mu.copy()), h), trace
+    return _lame(model, (lam.copy(), mu.copy())), trace
 
 
 # ---------------------------------------------------------------------------

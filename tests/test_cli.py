@@ -271,6 +271,50 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("dirichlet middle both 0\n", "unknown side 'middle'"),
+        ("traction top 0 -1\n", "at least one Dirichlet side is required"),
+        ("dirichlet bottom both 0\ndirichlet top uy -1\ntraction top 0 1\n",
+         "side 'top' has both Dirichlet and traction data"),
+    ], ids=["unknown-side", "no-dirichlet", "both-kinds"])
+    def test_invalid_bc_names_file(self, tmp_path, capsys, text, message):
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(8, 8, 1.0, 1.0))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text(text)
+        out = tmp_path / "u.f64grid"
+        assert main(["forward", "--lame", str(lame), "--bc", str(bc),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bc}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = inclusion\nnx = 24\nny = 24\nbubble_count = 3\ninclusion_radius = 20\n",
+         "inclusion is not strictly interior"),
+        ("kind = moving_squares\nnx = 16\nny = 16\nsquare_size = 48\n",
+         "squares do not fit in the grid"),
+        ("kind = inclusion\nnx = 24\nny = 24\nbubble_count = 3\ninclusion_radius = 4\n"
+         "mu_bg = 0\n", "mu must be at least 1e-06 everywhere"),
+    ], ids=["inclusion-not-interior", "squares-do-not-fit", "mu_bg-zero"])
+    def test_spec_failure_names_spec(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(text)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_track_names_vector_input(self, tmp_path, capsys, which):
+        volume = tmp_path / "v.f64grid"
+        write_f64grid(volume, ScalarGrid(8, 8, np.eye(8)))
+        field = tmp_path / "u.f64grid"
+        write_f64grid(field, VectorGrid.zeros(8, 8))
+        cfg = tmp_path / "track.cfg"
+        cfg.write_text("")
+        inputs = {"a": volume, "b": volume, which: field}
+        assert main(["track", "--a", str(inputs["a"]), "--b", str(inputs["b"]),
+                     "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {which} must be a scalar volume\n"
+
 
 class TestSynth:
     def test_inclusion_artifacts(self, tmp_path):

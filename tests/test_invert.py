@@ -29,19 +29,18 @@ def small_phantom(seed=0, n=24):
 def reference_accelerated_run(cfg, udelta, bc, steps):
     """The accelerated loop with a factorization at every iterate and every
     extrapolated point.  Returns (residuals, stepsizes, last iterate)."""
-    h = udelta.spacing
-    prev = p = cfg.initial_for(udelta.nx, udelta.ny, h)
+    prev = p = cfg.initial_for(udelta.nx, udelta.ny)
     residuals, stepsizes = [], []
     for k in range(steps + 1):
         u = forward_solve(p, bc)
-        residuals.append(field_norm(u.data - udelta.data, h))
+        residuals.append(field_norm(u.data - udelta.data))
         if k == steps:
             break
         alpha = nesterov_alpha(k + 1)
         lam = np.maximum(p.lam.data + alpha * (p.lam.data - prev.lam.data), 0.0)
         mu = np.maximum(p.mu.data + alpha * (p.mu.data - prev.mu.data), MU_FLOOR)
-        bar = LameField(ScalarGrid(udelta.nx, udelta.ny, lam, h),
-                        ScalarGrid(udelta.nx, udelta.ny, mu, h))
+        bar = LameField(ScalarGrid(udelta.nx, udelta.ny, lam),
+                        ScalarGrid(udelta.nx, udelta.ny, mu))
         new, omega, _ = landweber_step(bar, udelta, bc, cfg)
         stepsizes.append(omega)
         prev, p = p, new

@@ -3,7 +3,7 @@ import pytest
 
 from speckleflow.elastic import LameField, forward_solve
 from speckleflow.errors import SpecError
-from speckleflow.grids import ScalarGrid, Volume, bilinear_sample
+from speckleflow.grids import Volume, bilinear_sample
 from speckleflow.phantom import (PhantomSpec, make_inclusion_phantom,
                                  make_moving_squares)
 from speckleflow.speckle import MatchCriteria, run_tracking
@@ -103,7 +103,7 @@ class TestInclusion:
 
     def test_homogeneous_centerline_matches_fine_grid(self):
         # inclusion = background: compare the centerline against a solve of
-        # the same physical problem at twice the resolution
+        # the same compression at twice the resolution
         n = 25
         spec = PhantomSpec(kind="inclusion", nx=n, ny=n, bubble_count=3,
                            bubble_sigma_min=1.0, bubble_sigma_max=1.2,
@@ -112,9 +112,7 @@ class TestInclusion:
                            lame_inclusion=(5.0, 2.0))
         lame, bc, u_true, *_ = make_inclusion_phantom(spec)
         fine_n = 2 * n - 1
-        p_fine = LameField(
-            ScalarGrid(fine_n, fine_n, np.full((fine_n, fine_n), 5.0), spacing=0.5),
-            ScalarGrid(fine_n, fine_n, np.full((fine_n, fine_n), 2.0), spacing=0.5))
+        p_fine = LameField.constant(fine_n, fine_n, 5.0, 2.0)
         u_fine = forward_solve(p_fine, bc)
         mid = n // 2
         coarse_line = u_true.data[:, mid, 1]
