@@ -106,7 +106,8 @@ def read_lame_dir(path) -> LameField:
     mu = read_f64grid(d / "mu.f64grid")
     if not isinstance(lam, ScalarGrid) or not isinstance(mu, ScalarGrid):
         raise FormatError(f"{path}: Lame components must be scalar grids")
-    return LameField(lam, mu)
+    with naming_path(path):
+        return LameField(lam, mu)
 
 
 def _as_volume(obj, what) -> Volume:
@@ -170,6 +171,8 @@ def _cmd_flow(args):
     i2 = _as_scalar(read_f64grid(args.i2), "i2")
     samples = read_samples_csv(args.samples) if args.samples else []
     params = flowmod.FlowParams.from_config(args.config)
+    with naming_path(args.config):
+        params.check_extents(i1.nx, i1.ny)
     u = flowmod.multiscale_flow(i1, i2, samples, params)
     write_f64grid(args.out, u)
     return 0
@@ -178,6 +181,8 @@ def _cmd_flow(args):
 def _cmd_forward(args):
     lame = read_lame_dir(args.lame)
     bc = read_bc_config(args.bc)
+    with naming_path(args.bc):
+        bc.check_extents(lame.lam.nx, lame.lam.ny)
     u = forward_solve(lame, bc)
     write_f64grid(args.out, u)
     return 0
@@ -189,6 +194,8 @@ def _cmd_invert(args):
     cfg = invertmod.InversionConfig.from_config(args.config)
     with naming_path(args.config):
         cfg.check_extents(udelta.nx, udelta.ny)
+    with naming_path(args.bc):
+        bc.check_extents(udelta.nx, udelta.ny)
     lame, trace = invertmod.nesterov_iterate(cfg, udelta, bc)
     write_lame_dir(args.out, lame)
     write_f64grid(Path(args.out) / "young.f64grid", young_modulus(lame))

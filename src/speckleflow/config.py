@@ -20,7 +20,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-from .errors import DomainError, FormatError, ShapeMismatch, SpecError
+from .errors import (DomainError, FormatError, GridTooSmall, ShapeMismatch,
+                     SingularSystem, SpecError)
 
 _TYPES = {t.__name__: t for t in (int, float, str, bool)}
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -119,9 +120,10 @@ def read_config(path, what: str, *schemas) -> dict:
 
 @contextmanager
 def naming_path(path):
-    """Prefix `path` to a `DomainError`, `SpecError` or `ShapeMismatch`
-    raised inside, such as a config value failing its dataclass's check."""
+    """Prefix `path` to a `DomainError`, `SpecError`, `ShapeMismatch`,
+    `GridTooSmall` or `SingularSystem` raised inside, such as a config value
+    failing its dataclass's check."""
     try:
         yield
-    except (DomainError, SpecError, ShapeMismatch) as exc:
+    except (DomainError, SpecError, ShapeMismatch, GridTooSmall, SingularSystem) as exc:
         raise type(exc)(f"{path}: {exc}") from None

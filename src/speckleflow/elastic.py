@@ -42,7 +42,6 @@ __all__ = [
     "frechet_adjoint",
     "young_modulus",
     "ElasticModel",
-    "ReducedSystem",
     "read_bc_config",
     "write_bc_config",
 ]
@@ -106,6 +105,12 @@ class BoundaryConditions:
             if len(value) != 2:
                 raise DomainError("traction value must be a 2-vector")
 
+    def check_extents(self, nx: int, ny: int) -> None:
+        """`ShapeMismatch` or `SingularSystem` unless the Dirichlet data fits and
+        fixes an nx x ny grid (a grid below 2x2 is the elastic model's error)."""
+        if nx >= 2 and ny >= 2:
+            _dirichlet_lift(self, nx, ny)
+
 
 def _side_nodes(side, nx, ny):
     if side == "bottom":
@@ -115,6 +120,38 @@ def _side_nodes(side, nx, ny):
     if side == "left":
         return np.arange(ny) * nx
     return np.arange(ny) * nx + (nx - 1)
+
+
+def _dirichlet_lift(bc: BoundaryConditions, nx, ny):
+    """Nodal lift of the Dirichlet data on an nx x ny grid, and the mask of
+    the DOFs it leaves free."""
+    lift = np.zeros(2 * nx * ny)
+    fixed = np.zeros(lift.size, dtype=bool)
+    for side, comps, value in bc.dirichlet:
+        nodes = _side_nodes(side, nx, ny)
+        sel = [0, 1] if comps == "both" else ([0] if comps == "ux" else [1])
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape not in ((), (nodes.size,), (nodes.size, len(sel))):
+            raise ShapeMismatch(
+                f"Dirichlet value of shape {value.shape} on a side of "
+                f"{nodes.size} nodes with {len(sel)} component(s)")
+        dofs = 2 * nodes[:, None] + sel
+        lift[dofs] = value.reshape(value.shape + (1,) * (2 - value.ndim))
+        fixed[dofs] = True
+    if not fixed.any():
+        raise DomainError("Dirichlet boundary is empty")
+    # with mu > 0 the stiffness is singular on the free DOFs exactly when
+    # a rigid motion (x or y translation, rotation (-y, x)) leaves every
+    # fixed DOF at rest
+    ys, xs = np.divmod(np.arange(nx * ny), nx)
+    rigid = np.zeros((lift.size, 3))
+    rigid[0::2, 0] = 1.0
+    rigid[1::2, 1] = 1.0
+    rigid[0::2, 2] = -ys
+    rigid[1::2, 2] = xs
+    if np.linalg.matrix_rank(rigid[fixed]) < 3:
+        raise SingularSystem("Dirichlet boundary leaves a rigid motion free")
+    return lift, ~fixed
 
 
 def _element_matrices():
@@ -183,42 +220,11 @@ class ElasticModel:
         self._rows = np.repeat(dofs, 8, axis=1).ravel()
         self._cols = np.tile(dofs, (1, 8)).ravel()
 
-        self._build_dirichlet()
+        self.lift, self.free = _dirichlet_lift(bc, nx, ny)
+        self.order = grid_order(nx, ny, self.free)
         self._build_load()
 
     # -- boundary handling -------------------------------------------------
-
-    def _build_dirichlet(self):
-        lift = np.zeros(2 * self.n_nodes)
-        fixed = np.zeros(2 * self.n_nodes, dtype=bool)
-        for side, comps, value in self.bc.dirichlet:
-            nodes = _side_nodes(side, self.nx, self.ny)
-            sel = [0, 1] if comps == "both" else ([0] if comps == "ux" else [1])
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape not in ((), (nodes.size,), (nodes.size, len(sel))):
-                raise ShapeMismatch(
-                    f"Dirichlet value of shape {value.shape} on a side of "
-                    f"{nodes.size} nodes with {len(sel)} component(s)")
-            dofs = 2 * nodes[:, None] + sel
-            lift[dofs] = value.reshape(value.shape + (1,) * (2 - value.ndim))
-            fixed[dofs] = True
-        if not fixed.any():
-            raise DomainError("Dirichlet boundary is empty")
-        # with mu > 0 the stiffness is singular on the free DOFs exactly when
-        # a rigid motion (x or y translation, rotation (-y, x)) leaves every
-        # fixed DOF at rest
-        ys, xs = np.divmod(np.arange(self.n_nodes), self.nx)
-        rigid = np.zeros((2 * self.n_nodes, 3))
-        rigid[0::2, 0] = 1.0
-        rigid[1::2, 1] = 1.0
-        rigid[0::2, 2] = -ys
-        rigid[1::2, 2] = xs
-        if np.linalg.matrix_rank(rigid[fixed]) < 3:
-            raise SingularSystem("Dirichlet boundary leaves a rigid motion free")
-        self.lift = lift
-        self.fixed = fixed
-        self.free = ~fixed
-        self.order = grid_order(self.nx, self.ny, self.free)
 
     def _build_load(self):
         load = np.zeros(2 * self.n_nodes)
@@ -265,9 +271,9 @@ class ElasticModel:
         return ReducedSystem(K[self.free][:, self.free],
                              (self.load - K @ self.lift)[self.free])
 
-    def factorize(self, p: LameField | ReducedSystem) -> "ElasticFactors":
-        """Factorized stiffness of p, or of a reduced system already assembled."""
-        system = p if isinstance(p, ReducedSystem) else self.reduce(p)
+    def factorize(self, p: LameField) -> "ElasticFactors":
+        """Factorized stiffness of p."""
+        system = self.reduce(p)
         return ElasticFactors(self, system, GridFactor(system.K_ff, self.order))
 
 
@@ -280,23 +286,24 @@ class ElasticFactors:
         self.system = system
         self._lu = lu
 
-    def solve_forward(self, system: ReducedSystem | None = None) -> VectorGrid:
+    def solve_forward(self, p: LameField | None = None) -> VectorGrid:
         """Displacement for this factor's Lame field.
 
-        Given the reduced system of a nearby Lame field instead, returns
-        that field's displacement: conjugate gradients preconditioned with
-        this factor, or a fresh factorization (built while this one is
-        still alive) when CG hits its iteration cap.
+        Given a nearby Lame field p instead, returns p's displacement:
+        conjugate gradients on p's stiffness preconditioned with this
+        factor, or a fresh factorization of p (built while this one is
+        still alive) when CG gives up.
         """
         m = self.model
-        if system is None:
+        if p is None:
             system = self.system
             x = self._lu.solve(system.rhs)
         else:
+            system = m.reduce(p)
             try:
                 x = solve_near(system.K_ff, system.rhs, self._lu)
             except NotConverged:
-                return m.factorize(system).solve_forward()
+                return m.factorize(p).solve_forward()
         check_solution(system.K_ff, x, system.rhs)
         u = m.lift.copy()
         u[m.free] += x

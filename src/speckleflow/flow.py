@@ -79,6 +79,21 @@ class FlowParams:
         if self.sigma0 <= 0:
             raise DomainError("sigma0 must be positive")
 
+    def check_extents(self, nx: int, ny: int) -> None:
+        """`GridTooSmall` unless each of the `levels` pyramid levels of
+        nx x ny frames is at least 2x2, as `grids.downsample` rounds them."""
+        if nx < 2 or ny < 2:
+            return  # the flow's own error, not the pyramid's
+        mx, my = nx, ny
+        for level in range(1, self.levels):
+            prev = mx, my
+            mx, my = int(round(self.eta * mx)), int(round(self.eta * my))
+            if mx < 2 or my < 2:
+                raise GridTooSmall(f"levels = {self.levels} downsamples {nx}x{ny} "
+                                   f"frames to {mx}x{my} at level {level}, below 2x2")
+            if (mx, my) == prev:
+                return  # every further level keeps these extents
+
     @classmethod
     def from_config(cls, path) -> "FlowParams":
         cfg = read_config(path, "flow", cls)

@@ -340,35 +340,25 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     n_steps = min(cfg.manual_k if cfg.stopping == "manual" else cfg.max_iter,
                   cfg.max_iter)
 
-    # `factors` is dropped before the next factorization is built, so at
-    # most one is held at a time.  Before k = n, the iterate's reduced system
-    # is assembled while none is held, so the assembly's temporaries never
-    # add to a live factor's memory, and it is dropped once solved.
-    factors = None
     for k in range(n_steps + 1):
         # past the first step an accelerated run factorizes only the
         # extrapolated point, and the iterate's residual comes from CG
         # preconditioned with that factor (at k = n, with the last step's)
         near = cfg.acceleration and k >= 1
+        bar = cur
+        if near and k < n_steps:
+            alpha = nesterov_alpha(k + 1)
+            bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
+                           cur[1] + alpha * (cur[1] - prev[1]))
         if not near or k < n_steps:
-            factors = None
-        if near:
-            system = model.reduce(_lame(model, cur))
-        else:
-            factors, u, r = _evaluate(model, cur, udelta.data)
+            factors = None  # dropped first: at most one factor is alive
+            factors, u, r = _evaluate(model, bar, udelta.data)
         new, omega = cur, math.nan
         if k < n_steps:
-            bar = cur
-            if near:
-                alpha = nesterov_alpha(k + 1)
-                bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
-                               cur[1] + alpha * (cur[1] - prev[1]))
-                factors, u, r = _evaluate(model, bar, udelta.data)
             new, omega = _step(model, cfg, bar, factors, u, r)
         if near:
-            u = factors.solve_forward(system)
+            u = factors.solve_forward(_lame(model, cur))
             r = u.data - udelta.data
-            del system
         rnorm = field_norm(r)
 
         trace.append(k, rnorm, omega)

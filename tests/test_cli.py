@@ -96,6 +96,32 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, message", [
+        ("flow", "flow needs frames of at least 2x2 pixels, got 5x1"),
+        ("forward", "elasticity needs at least a 2x2 grid"),
+        ("invert", "elasticity needs at least a 2x2 grid"),
+    ], ids=["flow", "forward", "invert"])
+    def test_grid_below_2x2_is_not_blamed_on_an_input_file(self, tmp_path, capsys,
+                                                          command, message):
+        # the pyramid and BC checks would also fail here; the grid comes first
+        thin = tmp_path / "thin.f64grid"
+        write_f64grid(thin, ScalarGrid(5, 1, np.arange(5.0)))
+        data = tmp_path / "u.f64grid"
+        write_f64grid(data, VectorGrid.zeros(5, 1))
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(5, 1, 1.0, 1.0))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet left ux 0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("levels = 3\n" if command == "flow" else "")
+        argv = {
+            "flow": ["--i1", str(thin), "--i2", str(thin), "--config", str(cfg)],
+            "forward": ["--lame", str(lame), "--bc", str(bc)],
+            "invert": ["--data", str(data), "--bc", str(bc), "--config", str(cfg)],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["eval", "--bogus", "x"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -268,7 +294,49 @@ class TestExitCodes:
         assert main(["forward", "--lame", str(lame), "--bc", str(bc),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err == f"error: {bc}: Dirichlet boundary leaves a rigid motion free\n"
+        assert not out.exists()
+
+    def test_underconstrained_invert_names_bc(self, tmp_path, capsys):
+        data = tmp_path / "u.f64grid"
+        write_f64grid(data, VectorGrid.zeros(8, 8))
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet left ux 0\ntraction top 0.3 -1\n")
+        cfg = tmp_path / "inv.cfg"
+        cfg.write_text("")
+        out = tmp_path / "rec"
+        assert main(["invert", "--data", str(data), "--bc", str(bc), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {bc}: Dirichlet boundary leaves "
+                                           f"a rigid motion free\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu, message", [
+        (ScalarGrid(8, 8, np.zeros((8, 8))), "mu must be at least 1e-06 everywhere"),
+        (ScalarGrid(8, 6, np.ones((6, 8))), "lambda and mu extents differ"),
+    ], ids=["mu-zero", "extents-differ"])
+    def test_invalid_lame_dir_names_dir(self, tmp_path, capsys, mu, message):
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(8, 8, 1.0, 1.0))
+        write_f64grid(lame / "mu.f64grid", mu)
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet bottom both 0\ntraction top 0.3 -1\n")
+        out = tmp_path / "u.f64grid"
+        assert main(["forward", "--lame", str(lame), "--bc", str(bc),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {lame}: {message}\n"
+        assert not out.exists()
+
+    def test_pyramid_too_deep_names_config(self, tmp_path, capsys):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(16, 16, np.random.default_rng(4).random((16, 16))))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("levels = 1000000\n")
+        out = tmp_path / "u.f64grid"
+        assert main(["flow", "--i1", str(image), "--i2", str(image), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: levels = 1000000 downsamples "
+                                           f"16x16 frames to 1x1 at level 4, below 2x2\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [

@@ -423,6 +423,23 @@ class TestMultiscale:
         with pytest.raises(GridTooSmall):
             multiscale_flow(i, i, [], p)
 
+    @pytest.mark.parametrize("n, levels, eta", [(8, 4, 0.4), (8, 2, 0.4), (16, 4, 0.5),
+                                                (16, 5, 0.5), (17, 3, 0.3), (16, 30, 0.9)])
+    def test_extents_check_agrees_with_the_pyramid(self, n, levels, eta):
+        i = ScalarGrid(n, n, np.random.default_rng(11).random((n, n)))
+        p = FlowParams(alpha=0.8, beta=0.0, levels=levels, eta=eta)
+        try:
+            multiscale_flow(i, i, [], p)
+        except GridTooSmall:
+            with pytest.raises(GridTooSmall, match=f"levels = {levels} downsamples"):
+                p.check_extents(n, n)
+        else:
+            p.check_extents(n, n)
+
+    def test_extents_check_stops_where_the_pyramid_stops_shrinking(self):
+        # at eta = 0.9, 16 pixels shrink to 4 and stay there
+        FlowParams(alpha=0.8, levels=10**12, eta=0.9).check_extents(16, 16)
+
     def test_extent_mismatch(self):
         a = ScalarGrid(8, 8, np.zeros((8, 8)))
         b = ScalarGrid(9, 8, np.zeros((8, 9)))

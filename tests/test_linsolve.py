@@ -262,6 +262,7 @@ _RLIMIT_CHILD = """
 import resource
 from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField
 from speckleflow.errors import OutOfMemory
+from speckleflow.linsolve import GridFactor
 
 n = 300
 model = ElasticModel(n, n, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)]))
@@ -272,7 +273,7 @@ with open("/proc/self/status") as f:
 resource.setrlimit(resource.RLIMIT_AS,
                    (vm + 200 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))
 try:
-    model.factorize(system)
+    GridFactor(system.K_ff, model.order)
 except OutOfMemory as exc:
     print(f"OutOfMemory: {exc}")
 """
