@@ -25,7 +25,8 @@ from .config import naming_path, write_lines
 from .elastic import (LameField, forward_solve, read_bc_config,
                       write_bc_config, young_modulus)
 from .errors import FormatError, SpeckleFlowError
-from .grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
+from .grids import (ScalarGrid, VectorGrid, Volume, check_filter_width, read_f64grid,
+                    write_f64grid)
 from .phantom import PhantomSpec, make_inclusion_phantom, make_moving_squares
 from .speckle import (read_samples_csv, run_tracking, tracking_config,
                       write_samples_csv)
@@ -161,6 +162,8 @@ def _cmd_track(args):
     v1 = _as_volume(read_f64grid(args.a), "a")
     v2 = _as_volume(read_f64grid(args.b), "b")
     crit, top_fraction, presmooth = tracking_config(args.config)
+    with naming_path(args.config):
+        check_filter_width(presmooth, v1.data.shape)
     samples = run_tracking(v1, v2, crit, top_fraction, presmooth)
     write_samples_csv(args.out, samples)
     return 0

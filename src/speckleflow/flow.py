@@ -29,8 +29,8 @@ import scipy.sparse as sp
 
 from .config import naming_path, read_config
 from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
-from .grids import (ScalarGrid, VectorGrid, bilinear_sample, downsample, prolong,
-                    spatial_gradient)
+from .grids import (ScalarGrid, VectorGrid, bilinear_sample, check_filter_width,
+                    downsample, prolong, pyramid_sigma, spatial_gradient)
 from .linsolve import solve_grid
 from .speckle import DisplacementSample
 
@@ -81,7 +81,9 @@ class FlowParams:
 
     def check_extents(self, nx: int, ny: int) -> None:
         """`GridTooSmall` unless each of the `levels` pyramid levels of
-        nx x ny frames is at least 2x2, as `grids.downsample` rounds them."""
+        nx x ny frames is at least 2x2, as `grids.downsample` rounds them;
+        `DomainError` if a level's smoothing width exceeds the frame it
+        smooths (`grids.check_filter_width`)."""
         if nx < 2 or ny < 2:
             return  # the flow's own error, not the pyramid's
         mx, my = nx, ny
@@ -91,6 +93,10 @@ class FlowParams:
             if mx < 2 or my < 2:
                 raise GridTooSmall(f"levels = {self.levels} downsamples {nx}x{ny} "
                                    f"frames to {mx}x{my} at level {level}, below 2x2")
+            try:
+                check_filter_width(pyramid_sigma(self.eta, self.sigma0), prev)
+            except DomainError as exc:
+                raise DomainError(f"sigma0 = {self.sigma0:g} at level {level}: {exc}") from None
             if (mx, my) == prev:
                 return  # every further level keeps these extents
 

@@ -27,6 +27,7 @@ __all__ = [
     "Volume",
     "normalize_intensity",
     "gaussian_filter",
+    "check_filter_width",
     "pyramid_sigma",
     "downsample",
     "prolong",
@@ -131,6 +132,15 @@ class Volume:
             raise ShapeMismatch(f"expected 2-D or 3-D array, got shape {arr.shape}")
         return cls(nx=arr.shape[2], ny=arr.shape[1], nz=arr.shape[0], data=arr)
 
+    @classmethod
+    def _finite(cls, data: np.ndarray) -> "Volume":
+        """Wrap (nz, ny, nx) float64 data that this module computed from a
+        Volume and knows to be finite, without scanning it again."""
+        v = cls.__new__(cls)
+        v.nz, v.ny, v.nx = data.shape
+        v.data = data
+        return v
+
     def copy(self):
         return Volume(self.nx, self.ny, self.nz, self.data.copy())
 
@@ -151,14 +161,27 @@ def normalize_intensity(v: Volume, log_scale: bool) -> Volume:
         if np.any(data <= 0):
             raise DomainError("log scaling requires strictly positive values")
         data = np.log10(data)
-    lo = data.min()
-    hi = data.max()
+    lo = float(data.min())
+    hi = float(data.max())
     if hi == lo:
         raise ConstantField("cannot rescale a constant field to [0, 1]")
-    # rescaled in place on the one copy of the input
+    if not math.isfinite(hi - lo):
+        raise DomainError("intensity range exceeds the float64 range")
+    # rescaled in place on the one copy of the input; with a finite range
+    # every value lands in [0, 1]
     out = np.subtract(data, lo, out=None if data is v.data else data)
     out /= hi - lo
-    return Volume(v.nx, v.ny, v.nz, out)
+    return Volume._finite(out)
+
+
+def check_filter_width(sigma: float, extents) -> None:
+    """`DomainError` unless a Gaussian of width sigma fits the data: sigma
+    must not exceed the longest of the extents that are filtered (those
+    above 1), which also bounds the kernel's length."""
+    filtered = [n for n in extents if n > 1]
+    if filtered and sigma > max(filtered):
+        raise DomainError(f"smoothing width {sigma:g} exceeds the longest "
+                          f"extent {max(filtered)} it filters")
 
 
 def gaussian_filter(v: Volume, sigma: float) -> Volume:
@@ -166,12 +189,17 @@ def gaussian_filter(v: Volume, sigma: float) -> Volume:
 
     The kernel is truncated at radius ceil(4*sigma) and renormalized to unit
     sum, so constant fields pass through unchanged.  sigma = 0 is the
-    identity.
+    identity; a sigma wider than the longest filtered axis is rejected
+    (`check_filter_width`).  Axes of extent 1 are not filtered.  The result,
+    a unit-sum average of finite values, is not scanned for finiteness
+    again: only input within a rounding of the float64 limit could
+    overflow, and `downsample` checks its own result.
     """
     if sigma < 0:
         raise DomainError("sigma must be nonnegative")
+    check_filter_width(sigma, v.data.shape)
     axes = [axis for axis, n in enumerate(v.data.shape) if n > 1]
-    return Volume(v.nx, v.ny, v.nz, ndimage.gaussian_filter(
+    return Volume._finite(ndimage.gaussian_filter(
         v.data, sigma, mode="reflect", radius=math.ceil(4.0 * sigma), axes=axes))
 
 

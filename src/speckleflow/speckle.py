@@ -5,6 +5,12 @@ thresholding and connected-component analysis, then matched between the
 pre- and post-compression scans under geometric plausibility criteria.
 Matched pairs yield sparse displacement samples that later constrain the
 dense flow estimate.
+
+Detection reads each volume in a fixed number of full passes: rescaling,
+smoothing, the threshold (an exact order statistic, selected among the
+values above a bound taken from a strided sample), the comparison, the
+labeling, and one scan for the foreground voxels, over which alone the
+bubble sizes and centroids are summed.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .config import finite_float, naming_path, read_config, read_table, write_lines
 from .errors import ConstantField, DomainError, FitError, ShapeMismatch
-from .grids import Volume, gaussian_filter, normalize_intensity
+from .grids import Volume, check_filter_width, gaussian_filter, normalize_intensity
 
 __all__ = [
     "Bubble",
@@ -48,7 +54,7 @@ class Bubble:
 
     def __post_init__(self):
         self.centroid = np.asarray(self.centroid, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(self.centroid)):
+        if not all(map(math.isfinite, self.centroid.tolist())):
             raise DomainError("centroid must be finite")
         if self.voxel_volume < 1:
             raise DomainError("voxel_volume must be at least 1")
@@ -130,11 +136,58 @@ def binarize_quantile(data: np.ndarray, top_fraction: float) -> np.ndarray:
     The threshold is the (1 - top_fraction) quantile and the comparison is
     strict, so membership depends only on a voxel's value (equal values are
     kept or dropped as a group) and a constant array binarizes to all
-    False.
+    False.  The mask is ``data > np.quantile(data, 1 - top_fraction)`` bit
+    for bit; see `_upper_quantile` for how the threshold is found without
+    copying the whole array.
     """
     if not 0.0 < top_fraction < 1.0:
         raise DomainError("top_fraction must lie strictly between 0 and 1")
-    return data > np.quantile(data, 1.0 - top_fraction)
+    return data > _upper_quantile(data, 1.0 - top_fraction)
+
+
+# values in the strided sample that bounds an upper quantile from below
+_QUANTILE_SAMPLE = 1 << 14
+
+
+def _upper_quantile(data: np.ndarray, q: float):
+    """``np.quantile(data, q)`` (numpy's 'linear' method) for float64 data,
+    selected among the values at or above a sampled lower bound.
+
+    The quantile interpolates between the order statistics of ranks k and
+    k + 1 at the virtual index (n - 1) q = k + gamma.  A strided sample of
+    about `_QUANTILE_SAMPLE` values, partitioned at its own rank for k less
+    a margin (four binomial deviations plus 8), gives a bound t0; the values
+    below t0 are dropped, and if at most k of them were, both order
+    statistics are found by partitioning the rest with ranks shifted by the
+    drop count (Floyd and Rivest's SELECT).  Otherwise, or for data that is
+    not float64, numpy computes the quantile itself.  The interpolation
+    repeats numpy's, so the result is the same float.
+    """
+    flat = np.ravel(data)
+    n = flat.size
+    if n == 0 or flat.dtype != np.float64:
+        return np.quantile(data, q)
+    v = (n - 1) * q
+    k = math.floor(v)
+    gamma = v - k
+    k1 = min(k + 1, n - 1)
+    sample = flat[::max(1, n // _QUANTILE_SAMPLE)].copy()
+    m = sample.size
+    p = k / n
+    r0 = max(0, k * m // n - math.ceil(4.0 * math.sqrt(m * p * (1.0 - p))) - 8)
+    sample.partition(r0)
+    below = flat < sample[r0]
+    candidates = flat[np.logical_not(below, out=below)]  # NaN stays a candidate
+    dropped = n - candidates.size
+    if dropped > k:
+        return np.quantile(data, q)
+    if np.isnan(candidates).any():
+        return math.nan  # numpy's quantile of data holding a NaN
+    candidates.partition((k - dropped, k1 - dropped))
+    a = float(candidates[k - dropped])
+    b = float(candidates[k1 - dropped])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def connected_components(mask: np.ndarray) -> np.ndarray:
@@ -153,12 +206,19 @@ def connected_components(mask: np.ndarray) -> np.ndarray:
 def extract_bubbles(labels: np.ndarray, min_voxels: int) -> BubbleSet:
     """Turn an (nz, ny, nx) integer label array into bubbles, dropping
     components smaller than ``min_voxels``.  Centroids are arithmetic means
-    of member voxel coordinates in (x, y, z) order."""
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0  # background
-    zz, yy, xx = np.nonzero(labels)
-    vals = labels[zz, yy, xx]
+    of member voxel coordinates in (x, y, z) order.
+
+    One scan finds the foreground voxels (numpy finds the nonzero entries
+    of a boolean array faster than those of an integer one); sizes and
+    coordinate sums are taken over those alone, summed in raster order."""
+    _, ny, nx = labels.shape
+    flat = labels.ravel()
+    index = np.flatnonzero(flat != 0)
+    vals = flat[index]
+    sizes = np.bincount(vals)
     keep = np.flatnonzero(sizes >= max(min_voxels, 1))
+    zy, xx = np.divmod(index, nx)
+    zz, yy = np.divmod(zy, ny)
     sums = np.column_stack([np.bincount(vals, weights=w, minlength=sizes.size)[keep]
                             for w in (xx, yy, zz)])
     centroids = sums / sizes[keep, None]
@@ -336,6 +396,7 @@ def run_tracking(v1: Volume, v2: Volume, crit: MatchCriteria,
     if (v1.nx, v1.ny, v1.nz) != (v2.nx, v2.ny, v2.nz):
         raise ShapeMismatch("volumes must share extents")
     _check_detection(top_fraction, presmooth_sigma)
+    check_filter_width(presmooth_sigma, v1.data.shape)
     two_d = v1.nz == 1
     try:
         bubbles1, geom1 = detect(v1, crit, top_fraction, presmooth_sigma)

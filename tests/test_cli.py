@@ -339,6 +339,32 @@ class TestExitCodes:
                                            f"16x16 frames to 1x1 at level 4, below 2x2\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e20", "1e300"])
+    def test_track_smoothing_wider_than_input_names_config(self, tmp_path, capsys, sigma):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(20, 20, np.random.default_rng(4).random((20, 20))))
+        cfg = tmp_path / "track.cfg"
+        cfg.write_text(f"presmooth_sigma = {sigma}\n")
+        out = tmp_path / "s.csv"
+        assert main(["track", "--a", str(image), "--b", str(image), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: smoothing width {float(sigma):g} "
+                                           f"exceeds the longest extent 20 it filters\n")
+        assert not out.exists()
+
+    def test_flow_smoothing_wider_than_level_names_config(self, tmp_path, capsys):
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(20, 20, np.random.default_rng(4).random((20, 20))))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("levels = 2\nsigma0 = 1e20\n")
+        out = tmp_path / "u.f64grid"
+        assert main(["flow", "--i1", str(image), "--i2", str(image), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: sigma0 = 1e+20 at level 1: "
+                                           f"smoothing width 1.73205e+20 exceeds the "
+                                           f"longest extent 20 it filters\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("dirichlet middle both 0\n", "unknown side 'middle'"),
         ("traction top 0 -1\n", "at least one Dirichlet side is required"),

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,22 @@ class TestMultiscale:
             with pytest.raises(GridTooSmall, match=f"levels = {levels} downsamples"):
                 p.check_extents(n, n)
         else:
+            p.check_extents(n, n)
+
+    @pytest.mark.parametrize("n, levels, eta, sigma0, too_wide", [
+        (20, 2, 0.5, 1e20, True), (20, 2, 0.5, 11.0, False), (20, 2, 0.5, 12.0, True),
+        (16, 4, 0.5, 2.0, False), (16, 4, 0.5, 2.5, True), (16, 30, 0.9, 1.0, False),
+        (16, 30, 0.9, 9.0, True)])
+    def test_width_check_agrees_with_the_pyramid(self, n, levels, eta, sigma0, too_wide):
+        i = ScalarGrid(n, n, np.random.default_rng(13).random((n, n)))
+        p = FlowParams(alpha=0.8, beta=0.0, levels=levels, eta=eta, sigma0=sigma0)
+        if too_wide:
+            with pytest.raises(DomainError, match="exceeds the longest extent"):
+                multiscale_flow(i, i, [], p)
+            with pytest.raises(DomainError, match=re.escape(f"sigma0 = {sigma0:g} at level ")):
+                p.check_extents(n, n)
+        else:
+            multiscale_flow(i, i, [], p)
             p.check_extents(n, n)
 
     def test_extents_check_stops_where_the_pyramid_stops_shrinking(self):

@@ -51,6 +51,19 @@ class TestNormalizeIntensity:
         with pytest.raises(DomainError):
             normalize_intensity(Volume.from_array(np.array([[0.0, 1.0]])), True)
 
+    def test_range_beyond_float64_rejected(self):
+        with pytest.raises(DomainError, match="float64 range"):
+            normalize_intensity(Volume.from_array(np.array([[-1e308, 0.0, 1e308]])), False)
+
+    @pytest.mark.parametrize("log_scale", [False, True])
+    def test_result_volume_keeps_the_input_extents(self, log_scale):
+        v = Volume.from_array(np.random.default_rng(3).random((2, 4, 5)) + 0.5)
+        out = normalize_intensity(v, log_scale)
+        assert (out.nx, out.ny, out.nz, out.data.shape, out.data.dtype) == \
+            (5, 4, 2, (2, 4, 5), np.float64)
+        assert np.all(np.isfinite(out.data))
+        assert out.data.min() == 0.0 and out.data.max() == 1.0
+
     def test_monotone(self):
         rng = np.random.default_rng(0)
         vals = rng.random((4, 5)) + 0.1
@@ -94,6 +107,21 @@ class TestGaussianFilter:
         oracle = np.outer(k1, k1)
         got = out.data[0, n // 2 - r:n // 2 + r + 1, n // 2 - r:n // 2 + r + 1]
         np.testing.assert_allclose(got, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, longest", [((1, 6, 9), 9), ((7, 3, 1), 7),
+                                                ((1, 1, 4), 4)])
+    def test_width_above_the_longest_filtered_extent_rejected(self, shape, longest):
+        v = Volume.from_array(np.random.default_rng(4).random(shape))
+        out = gaussian_filter(v, float(longest))
+        assert (out.nx, out.ny, out.nz, out.data.shape) == (v.nx, v.ny, v.nz, shape)
+        assert np.all(np.isfinite(out.data))
+        for sigma in (math.nextafter(longest, math.inf), 1e20, 1e300):
+            with pytest.raises(DomainError, match=f"longest extent {longest} it filters"):
+                gaussian_filter(v, sigma)
+
+    def test_single_voxel_is_not_filtered(self):
+        v = Volume.from_array(np.array([[[2.5]]]))
+        np.testing.assert_array_equal(gaussian_filter(v, 1e300).data, v.data)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(2)

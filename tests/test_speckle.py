@@ -74,6 +74,25 @@ def float_coded_detect(v, crit, top_fraction, presmooth_sigma):
     return bubbles, fit_circle((binary.data != 0).any(axis=0))
 
 
+def two_scan_extract_bubbles(labels, min_voxels):
+    """Extraction as done with two full-volume scans: a bincount of every
+    voxel, then the coordinates of every nonzero voxel."""
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0  # background
+    zz, yy, xx = np.nonzero(labels)
+    vals = labels[zz, yy, xx]
+    keep = np.flatnonzero(sizes >= max(min_voxels, 1))
+    sums = np.column_stack([np.bincount(vals, weights=w, minlength=sizes.size)[keep]
+                            for w in (xx, yy, zz)])
+    centroids = sums / sizes[keep, None]
+    return [Bubble(label=int(k), centroid=c, voxel_volume=int(sizes[k]))
+            for k, c in zip(keep, centroids)]
+
+
+def bubble_bytes(bubbles):
+    return [(b.label, b.centroid.tobytes(), b.voxel_volume) for b in bubbles]
+
+
 def circle_through_three(p1, p2, p3):
     """Closed-form circumcircle of three points."""
     ax, ay = p1
@@ -154,6 +173,95 @@ class TestBinarize:
             assert not np.any(vals[~ones] > kept_min)
 
 
+@st.composite
+def _quantile_inputs(draw):
+    """Arrays of 1 to about 250k values, 2-D slices (nz = 1) among them,
+    continuous or with few distinct values, and a fraction down to 1/n."""
+    shape = draw(st.one_of(
+        st.tuples(st.sampled_from([1, 1, 2, 5]), st.integers(1, 30), st.integers(1, 30)),
+        st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 300, 700), (6, 120, 300), (96, 48, 56)])))
+    n = math.prod(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "few", "sparse"]))
+    if kind == "uniform":
+        x = rng.random(shape)
+    elif kind == "few":  # ties at the threshold
+        x = rng.integers(0, draw(st.integers(1, 5)), size=shape).astype(float)
+    else:  # a dark background with a few bright voxels, as in OCT volumes
+        x = np.where(rng.random(shape) < 0.01, 1.0 + rng.random(shape), 0.0)
+    lowest = 1.0 / max(n, 2)
+    f = draw(st.one_of(st.just(lowest), st.sampled_from([0.02, 0.5]),
+                       st.floats(lowest, 0.999)))
+    return x, f
+
+
+class TestQuantileThreshold:
+    @settings(max_examples=150, deadline=None)
+    @given(_quantile_inputs())
+    def test_equals_numpy_quantile(self, case):
+        x, f = case
+        want = np.quantile(x, 1.0 - f)
+        assert speckle._upper_quantile(x, 1.0 - f) == want
+        np.testing.assert_array_equal(binarize_quantile(x, f), x > want)
+
+    def test_interpolation_rounds_as_numpy(self):
+        # for gamma >= 0.5 numpy interpolates down from the upper neighbour;
+        # the two forms differ in the last bit for about 3% of these cases
+        rng = np.random.default_rng(10)
+        for _ in range(400):
+            x = rng.random((1, 1, 7))
+            q = 1.0 - rng.uniform(0.01, 0.6)
+            assert speckle._upper_quantile(x, q) == np.quantile(x, q)
+
+    def _counting_quantile(self, monkeypatch):
+        calls = []
+        quantile = np.quantile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quantile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "quantile", counting)
+        return quantile, calls
+
+    def test_selects_without_numpy_quantile(self, monkeypatch):
+        x = np.random.default_rng(3).random((8, 160, 160))
+        quantile, calls = self._counting_quantile(monkeypatch)
+        np.testing.assert_array_equal(binarize_quantile(x, 0.02),
+                                      x > quantile(x, 0.98))
+        assert calls == []
+
+    def test_falls_back_when_the_sample_misses_the_bright_voxels(self, monkeypatch):
+        # every sampled voxel reads 0.5, above all unsampled dark voxels, so
+        # the bound leaves fewer candidates than the ranks above the quantile
+        n = 200_000
+        rng = np.random.default_rng(4)
+        x = 0.4 * rng.random(n)
+        stride = n // speckle._QUANTILE_SAMPLE
+        x[::stride] = 0.5
+        bright = rng.choice(np.flatnonzero(np.arange(n) % stride), 300, replace=False)
+        x[bright] = 1.0
+        x = x.reshape(1, 400, 500)
+        quantile, calls = self._counting_quantile(monkeypatch)
+        np.testing.assert_array_equal(binarize_quantile(x, 0.5), x > quantile(x, 0.5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_follow_numpy(self, bad):
+        x = np.random.default_rng(5).random((2, 50, 60))
+        for index in (0, 5999):  # a dark or a bright voxel
+            y = x.copy()
+            y.ravel()[index] = bad
+            np.testing.assert_array_equal(binarize_quantile(y, 0.02),
+                                          y > np.quantile(y, 0.98))
+
+    def test_non_float64_data_uses_numpy(self):
+        x = np.random.default_rng(6).integers(0, 7, size=(3, 40, 40))
+        for data in (x, x.astype(np.float32)):
+            np.testing.assert_array_equal(binarize_quantile(data, 0.1),
+                                          data > np.quantile(data, 0.9))
+
+
 class TestConnectedComponents:
     def test_two_isolated_voxels(self):
         m = np.zeros((1, 5, 5), dtype=bool)
@@ -199,6 +307,27 @@ class TestExtractBubbles:
     def test_no_components(self):
         assert extract_bubbles(np.zeros((2, 3, 3), dtype=np.int32), min_voxels=0) == []
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.02, 0.5), st.integers(0, 6))
+    def test_matches_two_scan_oracle(self, seed, density, min_voxels):
+        rng = np.random.default_rng(seed)
+        labels = connected_components(rng.random((40, 50, 60)) < density)
+        assert bubble_bytes(extract_bubbles(labels, min_voxels)) == \
+            bubble_bytes(two_scan_extract_bubbles(labels, min_voxels))
+
+    def test_unused_labels_match_two_scan_oracle(self):
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 40, size=(30, 60, 70)) * 3  # 1, 2, 4, ... unused
+        labels[rng.random(labels.shape) < 0.9] = 0
+        for min_voxels in (0, 1, 50):
+            assert bubble_bytes(extract_bubbles(labels, min_voxels)) == \
+                bubble_bytes(two_scan_extract_bubbles(labels, min_voxels))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_all_background_matches_two_scan_oracle(self, dtype):
+        labels = np.zeros((20, 70, 80), dtype=dtype)
+        assert extract_bubbles(labels, 0) == two_scan_extract_bubbles(labels, 0) == []
+
     def test_volumes_match_oracle_counts(self):
         rng = np.random.default_rng(11)
         mask = rng.random((12, 12, 12)) < 0.25
@@ -228,6 +357,18 @@ def _render_blobs(shape, centers, sigma=1.6):
     return Volume(nx, ny, nz, img)
 
 
+def _render_separable_blobs(shape, centers, sigma=1.6):
+    """`_render_blobs` for large volumes: each blob is an outer product of
+    three 1-D Gaussians."""
+    nz, ny, nx = shape
+    img = np.zeros(shape)
+    for cx, cy, cz in centers:
+        gx, gy, gz = (np.exp(-(np.arange(n) - c) ** 2 / (2 * sigma ** 2))
+                      for n, c in ((nx, cx), (ny, cy), (nz, cz)))
+        img += gz[:, None, None] * gy[:, None] * gx
+    return Volume(nx, ny, nz, img)
+
+
 class TestDetect:
     @settings(max_examples=300, deadline=None)
     @given(_integer_volumes(), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
@@ -245,6 +386,17 @@ class TestDetect:
                     geom.center_xy.tobytes(), np.float64(geom.radius).tobytes())
 
         assert outcome(speckle.detect) == outcome(float_coded_detect)
+
+    def test_large_blob_volume_matches_float_coded_oracle(self):
+        centers = np.random.default_rng(9).uniform((4, 4, 4), (124, 124, 60), size=(150, 3))
+        v = _render_separable_blobs((64, 128, 128), centers)
+        crit = MatchCriteria()
+        got_bubbles, got_geom = speckle.detect(v, crit, 0.02, 0.9)
+        want_bubbles, want_geom = float_coded_detect(v, crit, 0.02, 0.9)
+        assert len(got_bubbles) > 50
+        assert bubble_bytes(got_bubbles) == bubble_bytes(want_bubbles)
+        assert got_geom.center_xy.tobytes() == want_geom.center_xy.tobytes()
+        assert got_geom.radius == want_geom.radius
 
     def test_peak_memory(self):
         # the float-coded path held a float 0/1 mask, float labels and their
@@ -500,7 +652,9 @@ class TestRunTracking:
         dict(top_fraction=0.0), dict(top_fraction=1.0), dict(top_fraction=1.5),
         dict(top_fraction=math.nan), dict(presmooth_sigma=-1.0),
         dict(presmooth_sigma=math.nan), dict(presmooth_sigma=math.inf),
-    ], ids=["top-0", "top-1", "top-1.5", "top-nan", "sigma-neg", "sigma-nan", "sigma-inf"])
+        dict(presmooth_sigma=1e20),
+    ], ids=["top-0", "top-1", "top-1.5", "top-nan", "sigma-neg", "sigma-nan", "sigma-inf",
+            "sigma-wider-than-volume"])
     def test_bad_settings_rejected_before_detection(self, monkeypatch, textured, kw):
         # a flat pair used to return [] where a textured one raised
         v = self._translation_phantom()[0] if textured else Volume(8, 8, 4, np.zeros((4, 8, 8)))
@@ -511,6 +665,25 @@ class TestRunTracking:
         monkeypatch.setattr(speckle, "detect", no_detection)
         with pytest.raises(DomainError):
             run_tracking(v, v, MatchCriteria(), **kw)
+
+    def test_each_volume_is_normalized_and_smoothed_once(self, monkeypatch):
+        # the benchmark's trace hooks speckle.normalize_intensity and
+        # speckle.gaussian_filter by attribute: detect must call both there
+        calls = {"normalize_intensity": 0, "gaussian_filter": 0}
+
+        def counted(name):
+            fn = getattr(speckle, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(speckle, name, counted(name))
+        v1, v2, _ = self._translation_phantom()
+        assert run_tracking(v1, v2, MatchCriteria(d_max=6.0), top_fraction=0.02)
+        assert calls == {"normalize_intensity": 2, "gaussian_filter": 2}
 
     def test_moving_squares_sample_cap(self):
         from speckleflow.phantom import PhantomSpec, make_moving_squares
