@@ -4,12 +4,13 @@ One reader, `read_config`, serves the phantom, tracking, flow and inversion
 configs.  Blank lines and lines starting with '#' are ignored; every other
 line is `key = value`.  The accepted keys and their types come from the
 schemas passed in: a dataclass contributes its `int`, `float`, `str` and
-`bool` fields (except those whose field metadata sets `"config": False`),
-and a `{key: type}` dict adds keys that are not fields.  Booleans are
-written 1/true/yes/on or 0/false/no/off.  An unknown key, a duplicate key or
-a value that does not convert (floats must be finite) raises `FormatError`
-naming the file and line; a value that converts but fails its dataclass's
-check is reported with the file's path too (`naming_path`).  The other
+`bool` fields, optional (`| None`) or not, except those whose field
+metadata sets `"config": False`; a `{key: type}` dict adds keys that are
+not fields.  Booleans are written 1/true/yes/on or 0/false/no/off.  An
+unknown key, a duplicate key or a value that does not convert (floats must
+be finite) raises `FormatError` naming the file and line; a value that
+converts but fails its dataclass's check is reported with the file's path
+too (`naming_path`).  The other
 line-oriented files share this text format: UTF-8, '\n' line ends, and
 errors naming `<path>:<line>` (`content_lines`, `read_table`, `write_lines`).
 """
@@ -31,10 +32,11 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 def _schema_types(schema) -> dict:
     if not is_dataclass(schema):
         return schema
-    # fields carry their annotation as a string under postponed evaluation
-    types = ((f.name, _TYPES.get(getattr(f.type, "__name__", f.type)))
-             for f in fields(schema) if f.metadata.get("config", True))
-    return {name: typ for name, typ in types if typ is not None}
+    # fields carry their annotation as a string under postponed evaluation;
+    # an optional field, `float | None`, is read as its type
+    names = {f.name: str(getattr(f.type, "__name__", f.type)).removesuffix(" | None")
+             for f in fields(schema) if f.metadata.get("config", True)}
+    return {name: _TYPES[typ] for name, typ in names.items() if typ in _TYPES}
 
 
 def finite_float(raw: str) -> float:

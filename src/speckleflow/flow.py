@@ -30,7 +30,8 @@ import scipy.sparse as sp
 from .config import naming_path, read_config
 from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from .grids import (ScalarGrid, VectorGrid, bilinear_sample, check_filter_width,
-                    downsample, prolong, pyramid_sigma, spatial_gradient)
+                    downsample, gaussian_profiles, prolong, pyramid_sigma,
+                    spatial_gradient)
 from .linsolve import solve_grid
 from .speckle import DisplacementSample
 
@@ -83,7 +84,8 @@ class FlowParams:
         """`GridTooSmall` unless each of the `levels` pyramid levels of
         nx x ny frames is at least 2x2, as `grids.downsample` rounds them;
         `DomainError` if a level's smoothing width exceeds the frame it
-        smooths (`grids.check_filter_width`)."""
+        smooths (`grids.check_filter_width`) or a level would repeat the
+        extents of the one before (the pyramid has stopped shrinking)."""
         if nx < 2 or ny < 2:
             return  # the flow's own error, not the pyramid's
         mx, my = nx, ny
@@ -98,7 +100,8 @@ class FlowParams:
             except DomainError as exc:
                 raise DomainError(f"sigma0 = {self.sigma0:g} at level {level}: {exc}") from None
             if (mx, my) == prev:
-                return  # every further level keeps these extents
+                raise DomainError(f"levels = {self.levels} exceeds {level}: {nx}x{ny} frames "
+                                  f"stop shrinking at {mx}x{my} on level {level - 1}")
 
     @classmethod
     def from_config(cls, path) -> "FlowParams":
@@ -142,10 +145,9 @@ def _sample_fields(nx, ny, samples, sigma):
     """
     pos = np.array([s.position[:2] for s in samples], dtype=np.float64).reshape(-1, 2)
     u = np.array([s.displacement[:2] for s in samples], dtype=np.float64).reshape(-1, 2)
-    inv = 1.0 / (2.0 * sigma * sigma)
-    peak = inv / math.pi
-    gx = np.exp(-((np.arange(nx) - pos[:, :1]) ** 2) * inv)
-    gy = peak * np.exp(-((np.arange(ny) - pos[:, 1:]) ** 2) * inv)
+    peak = 1.0 / (2.0 * sigma * sigma) / math.pi
+    gx = gaussian_profiles(pos[:, 0], sigma, nx)
+    gy = peak * gaussian_profiles(pos[:, 1], sigma, ny)
     W = gy.T @ gx
     WU = np.stack([(gy.T * u[:, c]) @ gx for c in (0, 1)], axis=-1)
     wu2 = float((gy.sum(axis=1) * gx.sum(axis=1)) @ (u * u).sum(axis=1))
@@ -316,17 +318,19 @@ def _warp(img: np.ndarray, disp: np.ndarray) -> np.ndarray:
 def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> VectorGrid:
     """Coarse-to-fine flow estimation.
 
-    Image pyramids are built by repeated smoothing/downsampling; sample
-    positions and displacements shrink by eta per level.  Every level starts
-    from an estimate (zero on the coarsest, the prolonged coarser result
-    otherwise), linearizes the data term there (the second frame is warped
-    by it), solves the level's system for the correction and adds it.  With
-    levels = 1 this is exactly the single-scale solve.
+    Image pyramids are built, once `p.check_extents` passes, by repeated
+    smoothing/downsampling; sample positions and displacements shrink by eta
+    per level.  Every level starts from an estimate (zero on the coarsest,
+    the prolonged coarser result otherwise), linearizes the data term there
+    (the second frame is warped by it), solves the level's system for the
+    correction and adds it.  With levels = 1 this is exactly the
+    single-scale solve.
     """
     if (i1.nx, i1.ny) != (i2.nx, i2.ny):
         raise ShapeMismatch("image extents differ")
     if i1.nx < 2 or i1.ny < 2:
         raise GridTooSmall(f"flow needs frames of at least 2x2 pixels, got {i1.nx}x{i1.ny}")
+    p.check_extents(i1.nx, i1.ny)
     levels = [(i1, i2)]
     for _ in range(p.levels - 1):
         a, b = levels[-1]

@@ -14,6 +14,7 @@ displacements and derivatives alike.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "spatial_gradient",
     "temporal_difference",
     "bilinear_sample",
+    "gaussian_profiles",
     "read_f64grid",
     "write_f64grid",
 ]
@@ -216,6 +218,15 @@ def pyramid_sigma(eta: float, sigma0: float) -> float:
     return sigma0 * math.sqrt(eta ** -2 - 1.0)
 
 
+def gaussian_profiles(centers, sigmas, n: int) -> np.ndarray:
+    """exp(-(j - c)^2 / (2 sigma^2)) at the pixels j = 0..n-1, one row per
+    center c; `sigmas` is one width or one per center.  A sum of separable
+    2-D Gaussians is then the product `gy.T @ gx` of two such arrays."""
+    s = np.reshape(sigmas, (-1, 1))
+    inv = 1.0 / (2.0 * s * s)
+    return np.exp(-((np.arange(n) - np.reshape(centers, (-1, 1))) ** 2) * inv)
+
+
 def bilinear_sample(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a 2-D array at fractional pixel coordinates.
 
@@ -331,12 +342,11 @@ def read_f64grid(path):
     depending on the header.  Malformed input raises FormatError carrying
     the byte offset of the failure."""
     with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FormatError("missing header newline", offset=len(raw))
-    header = raw[:nl]
-    parts = header.split(b" ")
+        line = f.readline()
+        got = os.fstat(f.fileno()).st_size - len(line)  # payload bytes
+    if not line.endswith(b"\n"):
+        raise FormatError("missing header newline", offset=len(line))
+    parts = line[:-1].split(b" ")
     if len(parts) != 5 or parts[0] != _MAGIC:
         raise FormatError("bad F64GRID header", offset=0)
     try:
@@ -345,22 +355,21 @@ def read_f64grid(path):
         raise FormatError("non-integer extent in header", offset=len(_MAGIC) + 1)
     if ncomp not in (1, 2) or min(nx, ny, nz) < 1 or (ncomp == 2 and nz != 1):
         raise FormatError("inadmissible extents in header", offset=len(_MAGIC) + 1)
-    start = nl + 1
+    start = len(line)
     count = ncomp * nx * ny * nz
     need = count * 8
-    got = len(raw) - start
     if got < need:
-        raise FormatError(
-            f"payload truncated: expected {need} bytes, found {got}",
-            offset=start + got)
+        raise FormatError(f"payload truncated: expected {need} bytes, found {got}",
+                          offset=start + got)
     if got > need:
         raise FormatError("trailing bytes after payload", offset=start + need)
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=start)
-    if not np.all(np.isfinite(data)):
+    data = np.fromfile(path, dtype="<f8", count=count, offset=start)
+    try:
+        if ncomp == 2:
+            return VectorGrid(nx, ny, data)
+        if nz == 1:
+            return ScalarGrid(nx, ny, data)
+        return Volume(nx, ny, nz, data)
+    except DomainError:  # the container's finiteness check, the only scan
         bad = int(np.flatnonzero(~np.isfinite(data))[0])
-        raise FormatError("non-finite value in payload", offset=start + 8 * bad)
-    if ncomp == 2:
-        return VectorGrid(nx, ny, data.reshape(ny, nx, 2).copy())
-    if nz == 1:
-        return ScalarGrid(nx, ny, data.reshape(ny, nx).copy())
-    return Volume(nx, ny, nz, data.reshape(nz, ny, nx).copy())
+        raise FormatError("non-finite value in payload", offset=start + 8 * bad) from None

@@ -21,7 +21,7 @@ import numpy as np
 from .config import naming_path, read_config
 from .elastic import BoundaryConditions, LameField, forward_solve
 from .errors import SpecError
-from .grids import ScalarGrid, VectorGrid, bilinear_sample
+from .grids import ScalarGrid, VectorGrid, bilinear_sample, gaussian_profiles
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -53,9 +53,12 @@ class PhantomSpec:
     square_intensity: float = 0.5
     # inclusion geometry and material
     compression_px: float = 20.0
-    lame_background: tuple = (490.0, 10.0)
-    lame_inclusion: tuple = (490.0, 20.0)
-    inclusion_center: tuple | None = None
+    lambda_bg: float = 490.0
+    mu_bg: float = 10.0
+    lambda_inc: float = 490.0
+    mu_inc: float = 20.0
+    inclusion_cx: float | None = None  # both or neither; default: grid center
+    inclusion_cy: float | None = None
     inclusion_radius: float = 30.0
 
     def __post_init__(self):
@@ -78,24 +81,14 @@ class PhantomSpec:
             raise SpecError("square_size must be at least 1")
         if not self.inclusion_radius >= 0:
             raise SpecError("inclusion_radius must be nonnegative")
+        if (self.inclusion_cx is None) != (self.inclusion_cy is None):
+            raise SpecError("inclusion_cx and inclusion_cy must be given together")
 
     @classmethod
     def from_config(cls, path) -> "PhantomSpec":
-        """Spec from a phantom config.  The keys `lambda_bg`/`mu_bg`,
-        `lambda_inc`/`mu_inc` and `inclusion_cx`/`inclusion_cy` set the
-        tuple fields; a Lame value left out keeps its default, and the two
-        center coordinates must be given together."""
-        pair_keys = ("lambda_bg", "mu_bg", "lambda_inc", "mu_inc",
-                     "inclusion_cx", "inclusion_cy")
-        cfg = read_config(path, "phantom", cls, dict.fromkeys(pair_keys, float))
-        (lb, mb), (li, mi) = cls.lame_background, cls.lame_inclusion
-        cfg["lame_background"] = (cfg.pop("lambda_bg", lb), cfg.pop("mu_bg", mb))
-        cfg["lame_inclusion"] = (cfg.pop("lambda_inc", li), cfg.pop("mu_inc", mi))
-        center = tuple(cfg.pop(k) for k in ("inclusion_cx", "inclusion_cy") if k in cfg)
-        if len(center) == 1:
-            raise SpecError(f"{path}: inclusion_cx and inclusion_cy must be given together")
+        cfg = read_config(path, "phantom", cls)
         with naming_path(path):
-            return cls(inclusion_center=center or None, **cfg)
+            return cls(**cfg)
 
 
 def _rng(spec: PhantomSpec) -> np.random.Generator:
@@ -130,16 +123,13 @@ def _place_bubbles(spec: PhantomSpec, rng: np.random.Generator):
     return centers, sigmas
 
 
-def render_blobs(nx, ny, centers, sigmas, peak=1.0) -> np.ndarray:
-    """Sum of isotropic Gaussian blobs with unit peak by default."""
-    img = np.zeros((ny, nx))
-    xs = np.arange(nx, dtype=np.float64)
-    ys = np.arange(ny, dtype=np.float64)
-    for (cx, cy), s in zip(np.atleast_2d(centers), np.atleast_1d(sigmas)):
-        gx = np.exp(-((xs - cx) ** 2) / (2.0 * s * s))
-        gy = np.exp(-((ys - cy) ** 2) / (2.0 * s * s))
-        img += peak * np.outer(gy, gx)
-    return img
+def render_blobs(nx, ny, centers, sigmas) -> np.ndarray:
+    """Sum of isotropic Gaussian blobs of unit peak at the (x, y) centers,
+    one width per center: one product of their separable profiles."""
+    centers = np.reshape(centers, (-1, 2))
+    gx = gaussian_profiles(centers[:, 0], sigmas, nx)
+    gy = gaussian_profiles(centers[:, 1], sigmas, ny)
+    return gy.T @ gx
 
 
 def _rescale_pair(a: np.ndarray, b: np.ndarray):
@@ -205,14 +195,11 @@ def make_moving_squares(spec: PhantomSpec):
 
     rng = _rng(spec)
     centers, sigmas = _place_bubbles(spec, rng)
+    cx, cy = centers.T
+    rows = (cy0 <= cy) & (cy < cy0 + size)
     disps = np.zeros_like(centers)
-    for i, (cx, cy) in enumerate(centers):
-        in_a = ax0 <= cx < ax0 + size and cy0 <= cy < cy0 + size
-        in_b = bx0 <= cx < bx0 + size and cy0 <= cy < cy0 + size
-        if in_a:
-            disps[i, 0] = shift
-        elif in_b:
-            disps[i, 0] = -shift
+    disps[rows & (ax0 <= cx) & (cx < ax0 + size), 0] = shift
+    disps[rows & (bx0 <= cx) & (cx < bx0 + size), 0] = -shift
 
     raw1 = square_img(ax0, bx0) + render_blobs(nx, ny, centers, sigmas)
     raw2 = square_img(a1[0], b1[0]) + render_blobs(nx, ny, centers + disps, sigmas)
@@ -232,19 +219,17 @@ def make_inclusion_phantom(spec: PhantomSpec):
     if spec.kind != "inclusion":
         raise SpecError("spec.kind must be 'inclusion'")
     nx, ny = spec.nx, spec.ny
-    cx, cy = spec.inclusion_center if spec.inclusion_center is not None \
-        else ((nx - 1) / 2.0, (ny - 1) / 2.0)
+    cx = (nx - 1) / 2.0 if spec.inclusion_cx is None else spec.inclusion_cx
+    cy = (ny - 1) / 2.0 if spec.inclusion_cy is None else spec.inclusion_cy
     r = spec.inclusion_radius
     if not (r < cx < nx - 1 - r and r < cy < ny - 1 - r):
         raise SpecError("inclusion is not strictly interior")
 
-    lam_bg, mu_bg = spec.lame_background
-    lam_in, mu_in = spec.lame_inclusion
     xs, ys = np.meshgrid(np.arange(nx, dtype=np.float64),
                          np.arange(ny, dtype=np.float64))
     inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
-    lam = np.where(inside, lam_in, lam_bg)
-    mu = np.where(inside, mu_in, mu_bg)
+    lam = np.where(inside, spec.lambda_inc, spec.lambda_bg)
+    mu = np.where(inside, spec.mu_inc, spec.mu_bg)
     lame = LameField(ScalarGrid(nx, ny, lam), ScalarGrid(nx, ny, mu))
 
     bc = BoundaryConditions(dirichlet=[

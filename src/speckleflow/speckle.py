@@ -122,7 +122,7 @@ class DisplacementSample:
         self.displacement = np.asarray(self.displacement, dtype=np.float64)
         if self.position.shape != self.displacement.shape or self.position.shape[0] not in (2, 3):
             raise ShapeMismatch("position and displacement must both be 2- or 3-vectors")
-        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.displacement))):
+        if not all(map(math.isfinite, self.position.tolist() + self.displacement.tolist())):
             raise DomainError("sample values must be finite")
 
 

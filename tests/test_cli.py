@@ -339,6 +339,20 @@ class TestExitCodes:
                                            f"16x16 frames to 1x1 at level 4, below 2x2\n")
         assert not out.exists()
 
+    def test_pyramid_past_its_smallest_level_names_config(self, tmp_path, capsys):
+        # at eta = 0.9, 16x16 frames stop shrinking at 4x4 on level 11, and a
+        # million levels would repeat that level for minutes
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(16, 16, np.random.default_rng(4).random((16, 16))))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("levels = 1000000\neta = 0.9\n")
+        out = tmp_path / "u.f64grid"
+        assert main(["flow", "--i1", str(image), "--i2", str(image), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: levels = 1000000 exceeds 12: "
+                                           f"16x16 frames stop shrinking at 4x4 on level 11\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["1e20", "1e300"])
     def test_track_smoothing_wider_than_input_names_config(self, tmp_path, capsys, sigma):
         image = tmp_path / "i.f64grid"

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from speckleflow import flow as flowmod
 from speckleflow import linsolve
 from speckleflow.errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from speckleflow.flow import (FlowParams, _sample_fields, assemble,
                               evaluate_functional, gaussian_weight, gradient,
                               multiscale_flow, solve_flow)
-from speckleflow.grids import ScalarGrid, VectorGrid, spatial_gradient, temporal_difference
+from speckleflow.grids import (ScalarGrid, VectorGrid, downsample, spatial_gradient,
+                              temporal_difference)
 from speckleflow.linsolve import (COARSEST_NODES, GridFactor, GridMultigrid, grid_order,
                                   solve_near)
 from speckleflow.speckle import DisplacementSample
@@ -424,18 +426,45 @@ class TestMultiscale:
         with pytest.raises(GridTooSmall):
             multiscale_flow(i, i, [], p)
 
+    @staticmethod
+    def _pyramid_error(i, p):
+        """(error type, message start) that building p's pyramid from the
+        frame i level by level with `downsample` runs into, None if it
+        builds every level: a level below 2x2, a smoothing width wider than
+        the level it smooths, or a level that repeats the extents before."""
+        g = i
+        for level in range(1, p.levels):
+            prev = g.nx, g.ny
+            try:
+                g = downsample(g, p.eta, p.sigma0)
+            except GridTooSmall:
+                return GridTooSmall, f"levels = {p.levels} downsamples"
+            except DomainError:
+                return DomainError, f"sigma0 = {p.sigma0:g} at level {level}: "
+            if (g.nx, g.ny) == prev:
+                return DomainError, f"levels = {p.levels} exceeds {level}: "
+        return None
+
+    def _check_agrees_with_the_pyramid(self, i, p):
+        error = self._pyramid_error(i, p)
+        if error is None:
+            p.check_extents(i.nx, i.ny)
+            multiscale_flow(i, i, [], p)
+            return None
+        for call in (lambda: p.check_extents(i.nx, i.ny), lambda: multiscale_flow(i, i, [], p)):
+            with pytest.raises(error[0], match="^" + re.escape(error[1])):
+                call()
+        return error[1]
+
     @pytest.mark.parametrize("n, levels, eta", [(8, 4, 0.4), (8, 2, 0.4), (16, 4, 0.5),
                                                 (16, 5, 0.5), (17, 3, 0.3), (16, 30, 0.9)])
     def test_extents_check_agrees_with_the_pyramid(self, n, levels, eta):
         i = ScalarGrid(n, n, np.random.default_rng(11).random((n, n)))
         p = FlowParams(alpha=0.8, beta=0.0, levels=levels, eta=eta)
-        try:
-            multiscale_flow(i, i, [], p)
-        except GridTooSmall:
-            with pytest.raises(GridTooSmall, match=f"levels = {levels} downsamples"):
-                p.check_extents(n, n)
-        else:
-            p.check_extents(n, n)
+        error = self._check_agrees_with_the_pyramid(i, p) or ""
+        # at eta = 0.9, 16 pixels stop shrinking, at 4, on level 11
+        stalls = (n, levels, eta) == (16, 30, 0.9)
+        assert error.startswith(f"levels = {levels} exceeds") == stalls
 
     @pytest.mark.parametrize("n, levels, eta, sigma0, too_wide", [
         (20, 2, 0.5, 1e20, True), (20, 2, 0.5, 11.0, False), (20, 2, 0.5, 12.0, True),
@@ -444,18 +473,32 @@ class TestMultiscale:
     def test_width_check_agrees_with_the_pyramid(self, n, levels, eta, sigma0, too_wide):
         i = ScalarGrid(n, n, np.random.default_rng(13).random((n, n)))
         p = FlowParams(alpha=0.8, beta=0.0, levels=levels, eta=eta, sigma0=sigma0)
+        error = self._check_agrees_with_the_pyramid(i, p) or ""
+        assert error.startswith(f"sigma0 = {sigma0:g} at level ") == too_wide
         if too_wide:
             with pytest.raises(DomainError, match="exceeds the longest extent"):
                 multiscale_flow(i, i, [], p)
-            with pytest.raises(DomainError, match=re.escape(f"sigma0 = {sigma0:g} at level ")):
-                p.check_extents(n, n)
-        else:
-            multiscale_flow(i, i, [], p)
-            p.check_extents(n, n)
+        # 16 pixels stop shrinking on level 11 at eta = 0.9, unless level 12's
+        # smoothing is too wide first
+        stalls = (levels, too_wide) == (30, False)
+        assert error.startswith(f"levels = {levels} exceeds") == stalls
 
     def test_extents_check_stops_where_the_pyramid_stops_shrinking(self):
-        # at eta = 0.9, 16 pixels shrink to 4 and stay there
-        FlowParams(alpha=0.8, levels=10**12, eta=0.9).check_extents(16, 16)
+        # at eta = 0.9, 16 pixels shrink to 4 on level 11 and stay there
+        FlowParams(alpha=0.8, levels=12, eta=0.9).check_extents(16, 16)
+        message = "levels = 1000000000000 exceeds 12: 16x16 frames stop shrinking at 4x4 on level 11"
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            FlowParams(alpha=0.8, levels=10**12, eta=0.9).check_extents(16, 16)
+
+    def test_pyramid_checked_before_any_level_is_built(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a level was built")
+        monkeypatch.setattr(flowmod, "downsample", fail)
+        i = ScalarGrid(16, 16, np.random.default_rng(14).random((16, 16)))
+        for p, error in [(FlowParams(alpha=0.8, levels=10**6, eta=0.9), DomainError),
+                         (FlowParams(alpha=0.8, levels=5, eta=0.5), GridTooSmall)]:
+            with pytest.raises(error, match=f"^levels = {p.levels} "):
+                multiscale_flow(i, i, [], p)
 
     def test_extent_mismatch(self):
         a = ScalarGrid(8, 8, np.zeros((8, 8)))

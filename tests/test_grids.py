@@ -338,6 +338,46 @@ class TestF64Grid:
             read_f64grid(path)
         assert err.value.offset == len(b"F64GRID ")
 
+    @pytest.mark.parametrize("obj", [ScalarGrid(4, 3, np.ones((3, 4))),
+                                     VectorGrid(2, 3, np.ones((3, 2, 2))),
+                                     Volume(2, 2, 3, np.ones((3, 2, 2)))],
+                             ids=["scalar", "vector", "volume"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_offset(self, tmp_path, obj, bad):
+        path = tmp_path / "nan.f64grid"
+        write_f64grid(path, obj)
+        raw = bytearray(path.read_bytes())
+        start = raw.index(b"\n") + 1
+        raw[start + 8 * 7:start + 8 * 8] = np.array([bad], dtype="<f8").tobytes()
+        raw[start + 8 * 9:start + 8 * 10] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite value in payload") as err:
+            read_f64grid(path)
+        assert err.value.offset == start + 8 * 7
+
+    def test_read_data_is_writable_float64(self, tmp_path):
+        path = tmp_path / "v.f64grid"
+        write_f64grid(path, Volume(3, 2, 2, np.arange(12.0).reshape(2, 2, 3)))
+        back = read_f64grid(path)
+        assert back.data.dtype == np.float64 and back.data.flags.writeable
+        back.data[0, 0, 0] = -1.0
+        np.testing.assert_array_equal(read_f64grid(path).data.ravel(), np.arange(12.0))
+
+    def test_missing_header_newline_offset(self, tmp_path):
+        path = tmp_path / "nl.f64grid"
+        path.write_bytes(b"F64GRID 1 2 2 1")
+        with pytest.raises(FormatError, match="missing header newline") as err:
+            read_f64grid(path)
+        assert err.value.offset == len(b"F64GRID 1 2 2 1")
+
+    def test_trailing_bytes_offset(self, tmp_path):
+        path = tmp_path / "trail.f64grid"
+        header = b"F64GRID 1 2 2 1\n"
+        path.write_bytes(header + b"\x00" * 33)
+        with pytest.raises(FormatError, match="trailing bytes") as err:
+            read_f64grid(path)
+        assert err.value.offset == len(header) + 32
+
     def test_truncated_payload_offset(self, tmp_path):
         path = tmp_path / "trunc.f64grid"
         header = b"F64GRID 1 2 2 1\n"

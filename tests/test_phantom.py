@@ -5,8 +5,31 @@ from speckleflow.elastic import LameField, forward_solve
 from speckleflow.errors import SpecError
 from speckleflow.grids import Volume, bilinear_sample
 from speckleflow.phantom import (PhantomSpec, make_inclusion_phantom,
-                                 make_moving_squares)
+                                 make_moving_squares, render_blobs)
 from speckleflow.speckle import MatchCriteria, run_tracking
+
+
+class TestRenderBlobs:
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_matches_per_bubble_outer_products(self, count):
+        rng = np.random.default_rng(30 + count)
+        nx, ny = 37, 29
+        centers = rng.uniform((-3.0, -3.0), (nx + 3.0, ny + 3.0), (count, 2))
+        sigmas = rng.uniform(0.5, 6.0, count)
+        expected = np.zeros((ny, nx))
+        xs, ys = np.arange(nx, dtype=float), np.arange(ny, dtype=float)
+        for (cx, cy), s in zip(centers, sigmas):
+            gx = np.exp(-((xs - cx) ** 2) / (2.0 * s * s))
+            gy = np.exp(-((ys - cy) ** 2) / (2.0 * s * s))
+            expected += np.outer(gy, gx)
+        got = render_blobs(nx, ny, centers, sigmas)
+        assert got.shape == (ny, nx)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    def test_one_blob_has_unit_peak_at_its_center(self):
+        img = render_blobs(9, 7, [4.0, 3.0], 1.5)
+        assert img[3, 4] == 1.0
+        assert img.max() == 1.0
 
 
 class TestMovingSquares:
@@ -89,8 +112,7 @@ class TestInclusion:
     def test_lame_disk_geometry(self):
         spec = PhantomSpec(kind="inclusion", nx=64, ny=64, bubble_count=5,
                            compression_px=2.0, inclusion_radius=10.0, seed=7,
-                           lame_background=(490.0, 10.0),
-                           lame_inclusion=(490.0, 20.0))
+                           lambda_bg=490.0, mu_bg=10.0, lambda_inc=490.0, mu_inc=20.0)
         lame, *_ = make_inclusion_phantom(spec)
         assert lame.mu.data[32, 32] == 20.0
         assert lame.mu.data[5, 5] == 10.0
@@ -108,8 +130,8 @@ class TestInclusion:
         spec = PhantomSpec(kind="inclusion", nx=n, ny=n, bubble_count=3,
                            bubble_sigma_min=1.0, bubble_sigma_max=1.2,
                            compression_px=2.0, inclusion_radius=4.0, seed=8,
-                           margin=3, lame_background=(5.0, 2.0),
-                           lame_inclusion=(5.0, 2.0))
+                           margin=3, lambda_bg=5.0, mu_bg=2.0, lambda_inc=5.0,
+                           mu_inc=2.0)
         lame, bc, u_true, *_ = make_inclusion_phantom(spec)
         fine_n = 2 * n - 1
         p_fine = LameField.constant(fine_n, fine_n, 5.0, 2.0)
@@ -166,12 +188,33 @@ class TestPhantomConfig:
         path = tmp_path / "spec.cfg"
         path.write_text("kind = inclusion\nnx = 80\nny = 90\nbubble_count = 40\n"
                         "seed = 123\ncompression_px = 8\ninclusion_radius = 12\n"
-                        "lambda_bg = 490\nmu_bg = 10\nlambda_inc = 490\n"
-                        "mu_inc = 20\nnoise_rel = 0.001\n")
+                        "lambda_bg = 480\nmu_bg = 10\nlambda_inc = 470\n"
+                        "mu_inc = 20\nnoise_rel = 0.001\n"
+                        "inclusion_cx = 39.5\ninclusion_cy = 45\n")
         spec = PhantomSpec.from_config(path)
         assert (spec.nx, spec.ny) == (80, 90)
-        assert spec.lame_inclusion == (490.0, 20.0)
+        assert (spec.lambda_bg, spec.mu_bg, spec.lambda_inc, spec.mu_inc) == (480.0, 10.0,
+                                                                              470.0, 20.0)
+        assert (spec.inclusion_cx, spec.inclusion_cy) == (39.5, 45.0)
         assert spec.seed == 123
+
+    def test_lame_values_left_out_keep_their_defaults(self, tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text("mu_inc = 30\n")
+        spec = PhantomSpec.from_config(path)
+        assert (spec.lambda_bg, spec.mu_bg, spec.lambda_inc, spec.mu_inc) == (490.0, 10.0,
+                                                                              490.0, 30.0)
+        assert (spec.inclusion_cx, spec.inclusion_cy) == (None, None)
+
+    @pytest.mark.parametrize("key", ["inclusion_cx", "inclusion_cy"])
+    def test_center_coordinates_go_together(self, tmp_path, key):
+        path = tmp_path / "spec.cfg"
+        path.write_text(f"{key} = 40\n")
+        with pytest.raises(SpecError) as err:
+            PhantomSpec.from_config(path)
+        assert str(err.value) == f"{path}: inclusion_cx and inclusion_cy must be given together"
+        with pytest.raises(SpecError, match="^inclusion_cx and inclusion_cy must be given"):
+            PhantomSpec(**{key: 40.0})
 
     def test_unknown_key_rejected(self, tmp_path):
         from speckleflow.errors import FormatError

@@ -505,6 +505,16 @@ class TestBubble:
             Bubble(label=1, centroid=[1.0, bad, 2.0], voxel_volume=5)
 
 
+class TestDisplacementSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["position", "displacement"])
+    def test_non_finite_values_rejected(self, bad, where):
+        values = {"position": [1.0, 2.0, 3.0], "displacement": [0.5, -0.5, 0.0]}
+        values[where][1] = bad
+        with pytest.raises(DomainError, match="^sample values must be finite$"):
+            DisplacementSample(**values)
+
+
 # two b bubbles tie with the a bubble on the whole sort key, at d_AB == d_max,
 # so the visiting order of the candidates decides which one is matched
 _TIED_B = [Bubble(label=1, centroid=[4, 3, 1], voxel_volume=2),
