@@ -103,32 +103,10 @@ def write_lame_dir(path, lame: LameField) -> None:
 
 def read_lame_dir(path) -> LameField:
     d = Path(path)
-    lam = read_f64grid(d / "lambda.f64grid")
-    mu = read_f64grid(d / "mu.f64grid")
-    if not isinstance(lam, ScalarGrid) or not isinstance(mu, ScalarGrid):
-        raise FormatError(f"{path}: Lame components must be scalar grids")
+    lam = read_f64grid(d / "lambda.f64grid", ScalarGrid)
+    mu = read_f64grid(d / "mu.f64grid", ScalarGrid)
     with naming_path(path):
         return LameField(lam, mu)
-
-
-def _as_volume(obj, what) -> Volume:
-    if isinstance(obj, Volume):
-        return obj
-    if isinstance(obj, ScalarGrid):
-        return Volume.from_array(obj.data)
-    raise FormatError(f"{what} must be a scalar volume")
-
-
-def _as_scalar(obj, what) -> ScalarGrid:
-    if isinstance(obj, ScalarGrid):
-        return obj
-    raise FormatError(f"{what} must be a scalar grid")
-
-
-def _as_vector(obj, what) -> VectorGrid:
-    if isinstance(obj, VectorGrid):
-        return obj
-    raise FormatError(f"{what} must be a 2-component field")
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +137,8 @@ def _cmd_synth(args):
 
 
 def _cmd_track(args):
-    v1 = _as_volume(read_f64grid(args.a), "a")
-    v2 = _as_volume(read_f64grid(args.b), "b")
+    v1 = read_f64grid(args.a, Volume)
+    v2 = read_f64grid(args.b, Volume)
     crit, top_fraction, presmooth = tracking_config(args.config)
     with naming_path(args.config):
         check_filter_width(presmooth, v1.data.shape)
@@ -170,8 +148,8 @@ def _cmd_track(args):
 
 
 def _cmd_flow(args):
-    i1 = _as_scalar(read_f64grid(args.i1), "i1")
-    i2 = _as_scalar(read_f64grid(args.i2), "i2")
+    i1 = read_f64grid(args.i1, ScalarGrid)
+    i2 = read_f64grid(args.i2, ScalarGrid)
     samples = read_samples_csv(args.samples) if args.samples else []
     params = flowmod.FlowParams.from_config(args.config)
     with naming_path(args.config):
@@ -192,7 +170,7 @@ def _cmd_forward(args):
 
 
 def _cmd_invert(args):
-    udelta = _as_vector(read_f64grid(args.data), "data")
+    udelta = read_f64grid(args.data, VectorGrid)
     bc = read_bc_config(args.bc)
     cfg = invertmod.InversionConfig.from_config(args.config)
     with naming_path(args.config):
@@ -208,8 +186,8 @@ def _cmd_invert(args):
 
 
 def _cmd_eval(args):
-    est = _as_vector(read_f64grid(args.est), "est")
-    truth = _as_vector(read_f64grid(args.truth), "truth")
+    est = read_f64grid(args.est, VectorGrid)
+    truth = read_f64grid(args.truth, VectorGrid)
     total, ex, ey = invertmod.field_error(est, truth)
     print(f"{total:.17g},{ex:.17g},{ey:.17g}")
     return 0
@@ -230,8 +208,7 @@ def _cmd_render(args):
                 lines.append(f"{ix},{iy},{ux:.17g},{uy:.17g}")
         write_lines(quiver, lines)
     else:
-        data = obj.data if isinstance(obj, ScalarGrid) else obj.data.reshape(-1, obj.nx)
-        write_pgm(out, np.abs(data))
+        write_pgm(out, np.abs(obj.data.reshape(-1, obj.nx)))
         write_lines(quiver, ["x,y,ux,uy"])
     return 0
 

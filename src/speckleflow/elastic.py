@@ -32,7 +32,8 @@ from .config import content_lines, finite_float, naming_path, write_lines
 from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
                      NotSPD, ShapeMismatch, SingularSystem)
 from .grids import ScalarGrid, VectorGrid
-from .linsolve import GridFactor, check_solution, grid_order, solve_near
+from .linsolve import (GridFactor, check_overflow, check_solution, grid_order,
+                       solve_near)
 
 __all__ = [
     "LameField",
@@ -265,11 +266,16 @@ class ElasticModel:
         K.sum_duplicates()
         return K.tocsc()
 
+    @np.errstate(over="ignore", invalid="ignore")  # named below
     def reduce(self, p: LameField) -> ReducedSystem:
-        """The forward problem of p on the free DOFs: K_ff x = load - K lift."""
+        """The forward problem of p on the free DOFs: K_ff x = load - K lift;
+        `DomainError` if the stiffness or the right-hand side overflowed."""
         K = self.assemble(p)
-        return ReducedSystem(K[self.free][:, self.free],
-                             (self.load - K @ self.lift)[self.free])
+        system = ReducedSystem(K[self.free][:, self.free],
+                               (self.load - K @ self.lift)[self.free])
+        check_overflow("elastic stiffness", system.K_ff.data)
+        check_overflow("elastic right-hand side", system.rhs)
+        return system
 
     def factorize(self, p: LameField) -> "ElasticFactors":
         """Factorized stiffness of p."""

@@ -32,7 +32,7 @@ from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from .grids import (ScalarGrid, VectorGrid, bilinear_sample, check_filter_width,
                     downsample, gaussian_profiles, prolong, pyramid_sigma,
                     spatial_gradient)
-from .linsolve import solve_grid
+from .linsolve import check_overflow, solve_grid
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -189,6 +189,7 @@ def evaluate_functional(u: VectorGrid, gradI: VectorGrid, It: ScalarGrid,
     return data + p.alpha * rough + p.beta * bubble + p.gamma * div_term
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the solve names an overflow
 def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowSystem:
     """Assemble the sparse SPD system whose solution minimizes the flow
     functional.
@@ -271,9 +272,10 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
 
 
 def _solve_system(sys: FlowSystem) -> np.ndarray:
-    """`solve_grid` after the checks for singular flow systems."""
-    if not np.all(np.isfinite(sys.translation)):
-        raise NotSPD("flow system has non-finite entries")
+    """`solve_grid` after the checks for overflowed and singular flow systems."""
+    # the translation block is half of A on uniform fields
+    check_overflow("flow system matrix", sys.translation, sys.matrix.data)
+    check_overflow("flow system right-hand side", sys.rhs)
     if np.linalg.matrix_rank(sys.translation) < 2:
         raise NotSPD("flow system is singular: neither the image gradient "
                      "nor the samples determine a uniform translation")
@@ -285,8 +287,9 @@ def _solve_system(sys: FlowSystem) -> np.ndarray:
 
 def solve_flow(sys: FlowSystem) -> VectorGrid:
     """Solve the assembled system and reshape to a displacement field;
-    `NotSPD` if the system is singular (always if `translation` is, or if
-    a diagonal entry of the matrix is zero)."""
+    `DomainError` if its matrix or right-hand side overflowed, `NotSPD` if
+    the system is singular (always if `translation` is, or if a diagonal
+    entry of the matrix is zero)."""
     x = _solve_system(sys)
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
 

@@ -60,16 +60,6 @@ class ScalarGrid:
         self.data = np.asarray(self.data, dtype=np.float64).reshape(self.ny, self.nx)
         _check_finite(self.data, "ScalarGrid")
 
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"expected 2-D array, got shape {arr.shape}")
-        return cls(nx=arr.shape[1], ny=arr.shape[0], data=arr)
-
-    def copy(self):
-        return ScalarGrid(self.nx, self.ny, self.data.copy())
-
 
 @dataclass
 class VectorGrid:
@@ -86,28 +76,8 @@ class VectorGrid:
         _check_finite(self.data, "VectorGrid")
 
     @classmethod
-    def from_arrays(cls, ux, uy):
-        ux = np.asarray(ux, dtype=np.float64)
-        uy = np.asarray(uy, dtype=np.float64)
-        if ux.shape != uy.shape or ux.ndim != 2:
-            raise ShapeMismatch("component arrays must be 2-D with equal shape")
-        return cls(nx=ux.shape[1], ny=ux.shape[0],
-                   data=np.stack([ux, uy], axis=-1))
-
-    @classmethod
     def zeros(cls, nx, ny):
         return cls(nx, ny, np.zeros((ny, nx, 2)))
-
-    @property
-    def ux(self):
-        return self.data[:, :, 0]
-
-    @property
-    def uy(self):
-        return self.data[:, :, 1]
-
-    def copy(self):
-        return VectorGrid(self.nx, self.ny, self.data.copy())
 
 
 @dataclass
@@ -142,9 +112,6 @@ class Volume:
         v.nz, v.ny, v.nx = data.shape
         v.data = data
         return v
-
-    def copy(self):
-        return Volume(self.nx, self.ny, self.nz, self.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -316,31 +283,36 @@ def temporal_difference(i1: ScalarGrid, i2: ScalarGrid) -> ScalarGrid:
 
 _MAGIC = b"F64GRID"
 
+# The three kinds of F64GRID file and the ncomp of each.  Only a Volume has
+# nz > 1; a header is of the first kind it fits, so an ncomp = 1, nz = 1
+# file is a ScalarGrid, which also reads as a one-slice Volume.
+_NCOMP = {ScalarGrid: 1, VectorGrid: 2, Volume: 1}
+
+
+def _fits(kind, ncomp: int, nz: int) -> bool:
+    return _NCOMP[kind] == ncomp and (nz == 1 or kind is Volume)
+
 
 def write_f64grid(path, obj) -> None:
-    """Serialize a ScalarGrid (ncomp=1, nz=1), VectorGrid (ncomp=2) or
-    Volume (ncomp=1) to the F64GRID binary format."""
-    if isinstance(obj, ScalarGrid):
-        ncomp, nx, ny, nz = 1, obj.nx, obj.ny, 1
-        payload = obj.data
-    elif isinstance(obj, VectorGrid):
-        ncomp, nx, ny, nz = 2, obj.nx, obj.ny, 1
-        payload = obj.data
-    elif isinstance(obj, Volume):
-        ncomp, nx, ny, nz = 1, obj.nx, obj.ny, obj.nz
-        payload = obj.data
-    else:
+    """Serialize a ScalarGrid, VectorGrid or Volume to the F64GRID binary
+    format."""
+    if type(obj) not in _NCOMP:
         raise DomainError(f"cannot serialize {type(obj).__name__} as F64GRID")
-    header = f"F64GRID {ncomp} {nx} {ny} {nz}\n".encode("ascii")
+    nz = getattr(obj, "nz", 1)
+    header = f"F64GRID {_NCOMP[type(obj)]} {obj.nx} {obj.ny} {nz}\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(obj.data, dtype="<f8").tobytes())
 
 
-def read_f64grid(path):
-    """Read an F64GRID file; returns ScalarGrid, VectorGrid or Volume
-    depending on the header.  Malformed input raises FormatError carrying
-    the byte offset of the failure."""
+def read_f64grid(path, kind=None):
+    """Read an F64GRID file as the `kind` given (ScalarGrid, VectorGrid or
+    Volume), or as the kind its header names when `kind` is None.
+
+    Malformed input raises FormatError carrying the byte offset of the
+    failure; a file that is not of `kind` fails at offset 8, its ncomp,
+    with a message naming the path and both kinds.
+    """
     with open(path, "rb") as f:
         line = f.readline()
         got = os.fstat(f.fileno()).st_size - len(line)  # payload bytes
@@ -349,12 +321,18 @@ def read_f64grid(path):
     parts = line[:-1].split(b" ")
     if len(parts) != 5 or parts[0] != _MAGIC:
         raise FormatError("bad F64GRID header", offset=0)
+    ext_offset = len(_MAGIC) + 1
     try:
         ncomp, nx, ny, nz = (int(p) for p in parts[1:])
     except ValueError:
-        raise FormatError("non-integer extent in header", offset=len(_MAGIC) + 1)
-    if ncomp not in (1, 2) or min(nx, ny, nz) < 1 or (ncomp == 2 and nz != 1):
-        raise FormatError("inadmissible extents in header", offset=len(_MAGIC) + 1)
+        raise FormatError("non-integer extent in header", offset=ext_offset)
+    found = next((k for k in _NCOMP if _fits(k, ncomp, nz)), None)
+    if found is None or min(nx, ny, nz) < 1:
+        raise FormatError("inadmissible extents in header", offset=ext_offset)
+    if kind is not None and not _fits(kind, ncomp, nz):
+        raise FormatError(f"{path}: expected a {kind.__name__}, found a {found.__name__}",
+                          offset=ext_offset)
+    kind = kind or found
     start = len(line)
     count = ncomp * nx * ny * nz
     need = count * 8
@@ -364,12 +342,9 @@ def read_f64grid(path):
     if got > need:
         raise FormatError("trailing bytes after payload", offset=start + need)
     data = np.fromfile(path, dtype="<f8", count=count, offset=start)
+    extents = (nx, ny, nz) if kind is Volume else (nx, ny)
     try:
-        if ncomp == 2:
-            return VectorGrid(nx, ny, data)
-        if nz == 1:
-            return ScalarGrid(nx, ny, data)
-        return Volume(nx, ny, nz, data)
+        return kind(*extents, data)
     except DomainError:  # the container's finiteness check, the only scan
         bad = int(np.flatnonzero(~np.isfinite(data))[0])
         raise FormatError("non-finite value in payload", offset=start + 8 * bad) from None

@@ -26,6 +26,7 @@ from .config import finite_float, naming_path, read_config, read_table, write_li
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, read_f64grid
+from .linsolve import check_overflow
 
 __all__ = [
     "InversionConfig",
@@ -162,9 +163,10 @@ class InversionConfig:
         m = re.fullmatch(r"manual\((\d+)\)", cfg.get("stopping", ""))
         if m:
             cfg["stopping"], cfg["manual_k"] = "manual", int(m.group(1))
-        mask = None if mask_file is None else read_f64grid(mask_file)
-        if mask is not None and not isinstance(mask, ScalarGrid):
-            raise FormatError(f"{path}: mask_file '{mask_file}' is not a scalar grid")
+        try:
+            mask = None if mask_file is None else read_f64grid(mask_file, ScalarGrid)
+        except FormatError as exc:
+            raise FormatError(f"{path}: mask_file: {exc}") from None
         with naming_path(path):
             return cls(boundary_mask=mask, **cfg)
 
@@ -273,9 +275,11 @@ def _evaluate(model: ElasticModel, point, udelta_data):
     return factors, u, u.data - udelta_data
 
 
+@np.errstate(over="ignore", invalid="ignore")  # named below
 def _step(model: ElasticModel, cfg: InversionConfig, point, factors, u, r):
     """Masked gradient, stepsize and projected update from a point evaluated
-    by :func:`_evaluate`.  Returns (new point, stepsize)."""
+    by :func:`_evaluate`.  Returns (new point, stepsize); `DomainError` if
+    the stepsize or the update overflowed."""
     lam, mu = point
     g_lam, g_mu = factors.derivative_adjoint(
         u, VectorGrid(model.nx, model.ny, r))
@@ -283,9 +287,12 @@ def _step(model: ElasticModel, cfg: InversionConfig, point, factors, u, r):
     s_lam = _masked(g_lam.data, mask)
     s_mu = _masked(g_mu.data, mask)
     omega = _stepsize(cfg, factors, u, r, s_lam, s_mu)
+    check_overflow("inversion stepsize", omega)
     if omega == 0.0:
         return point, 0.0
-    return _project(lam - omega * s_lam, mu - omega * s_mu), omega
+    new = _project(lam - omega * s_lam, mu - omega * s_mu)
+    check_overflow(f"inversion update at stepsize {omega:.6g}", *new)
+    return new, omega
 
 
 def landweber_step(p: LameField, udelta: VectorGrid, bc: BoundaryConditions,
@@ -348,8 +355,10 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
         bar = cur
         if near and k < n_steps:
             alpha = nesterov_alpha(k + 1)
-            bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
-                           cur[1] + alpha * (cur[1] - prev[1]))
+            with np.errstate(over="ignore"):
+                bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
+                               cur[1] + alpha * (cur[1] - prev[1]))
+            check_overflow("inversion extrapolation", *bar)
         if not near or k < n_steps:
             factors = None  # dropped first: at most one factor is alive
             factors, u, r = _evaluate(model, bar, udelta.data)

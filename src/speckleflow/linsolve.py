@@ -43,11 +43,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy import linalg
 
-from .errors import NotConverged, NotSPD, OutOfMemory
+from .errors import DomainError, NotConverged, NotSPD, OutOfMemory
 
 __all__ = ["COARSEST_NODES", "grid_order", "GridFactor", "GridMultigrid",
-           "prolongation", "solve_near", "check_solution", "solve_grid"]
+           "prolongation", "solve_near", "check_overflow", "check_solution",
+           "solve_grid"]
 
 # regions at most this many nodes across are numbered row by row
 _LEAF = 2
@@ -297,13 +299,23 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
     return x
 
 
+def check_overflow(what: str, *values) -> None:
+    """`DomainError` naming `what` unless all `values` are finite.  Built
+    from finite inputs, a matrix or vector is not finite only where it
+    overflowed, which a factorization or solve would call not SPD."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise DomainError(f"{what} overflows the float64 range")
+
+
 def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
     """Accept x as the solution of A x = b, or raise `NotSPD` when x is not
     finite or its relative residual exceeds the bound below."""
     if not np.all(np.isfinite(x)):
         raise NotSPD("sparse solve produced non-finite values")
-    rnorm = np.linalg.norm(A @ x - b)
-    scale = np.linalg.norm(b)
+    # BLAS nrm2 rescales as it sums: numpy's norm overflows once |b| passes
+    # about 1e154, and inf <= 1e-10 * inf would accept any x
+    rnorm = linalg.norm(A @ x - b, check_finite=False)
+    scale = linalg.norm(b, check_finite=False)
     if not rnorm <= 1e-10 * scale:
         raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
 

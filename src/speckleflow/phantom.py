@@ -14,6 +14,7 @@ phantoms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,13 @@ class PhantomSpec:
             raise SpecError(f"unknown phantom kind '{self.kind}'")
         if self.nx < 8 or self.ny < 8:
             raise SpecError("phantom grid must be at least 8x8")
+        # the first large array is a 16-byte-per-pixel displacement field;
+        # one that numpy can index fails, if at all, as out of memory
+        if 16 * self.nx * self.ny > np.iinfo(np.intp).max:
+            raise SpecError(f"nx x ny = {self.nx} x {self.ny} exceeds the largest "
+                            f"array numpy can index")
+        if self.seed < 0:
+            raise SpecError("seed must be nonnegative")
         if self.bubble_count < 0:
             raise SpecError("bubble_count must be nonnegative")
         if self.kind == "inclusion" and self.bubble_count == 0:
@@ -97,11 +105,23 @@ def _rng(spec: PhantomSpec) -> np.random.Generator:
 
 def _place_bubbles(spec: PhantomSpec, rng: np.random.Generator):
     """Rejection-sample bubble centers with a boundary margin and pairwise
-    separation so the rendered blobs stay distinct components."""
+    separation so the rendered blobs stay distinct components.
+
+    Centers are drawn from a w x h box at least 3.8 sigma_min apart, so
+    disks of radius r = 1.9 sigma_min around them are disjoint and lie in
+    the box grown by r: a bubble_count whose disks cannot fit there is a
+    `SpecError` before any draw.
+    """
     lo_x, hi_x = spec.margin, spec.nx - 1 - spec.margin
     lo_y, hi_y = spec.margin, spec.ny - 1 - spec.margin
     if lo_x >= hi_x or lo_y >= hi_y:
         raise SpecError("margin leaves no room for bubbles")
+    w, h, r = hi_x - lo_x, hi_y - lo_y, 1.9 * spec.bubble_sigma_min
+    fit = (w + 2 * r) * (h + 2 * r) / (math.pi * r * r)
+    if spec.bubble_count > fit:
+        raise SpecError(f"bubble_count = {spec.bubble_count} exceeds the {math.floor(fit)} "
+                        f"bubbles that fit {2 * r:g} pixels apart in the {w}x{h} box "
+                        f"the margin leaves")
     centers = np.empty((spec.bubble_count, 2))
     sigmas = np.empty(spec.bubble_count)
     placed = 0
@@ -236,10 +256,11 @@ def make_inclusion_phantom(spec: PhantomSpec):
         ("bottom", "both", 0.0),
         ("top", "uy", -float(spec.compression_px)),
     ])
-    u_true = forward_solve(lame, bc)
-
+    # placed before the solve, which draws nothing, so that a spec with no
+    # room for its bubbles fails at once
     rng = _rng(spec)
     centers, sigmas = _place_bubbles(spec, rng)
+    u_true = forward_solve(lame, bc)
     disps = bilinear_sample(u_true.data, centers[:, 0], centers[:, 1])
 
     raw1 = render_blobs(nx, ny, centers, sigmas)

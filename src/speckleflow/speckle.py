@@ -28,7 +28,6 @@ from .grids import Volume, check_filter_width, gaussian_filter, normalize_intens
 
 __all__ = [
     "Bubble",
-    "BubbleSet",
     "CylinderGeometry",
     "MatchCriteria",
     "DisplacementSample",
@@ -58,9 +57,6 @@ class Bubble:
             raise DomainError("centroid must be finite")
         if self.voxel_volume < 1:
             raise DomainError("voxel_volume must be at least 1")
-
-
-BubbleSet = list  # list[Bubble]
 
 
 @dataclass
@@ -203,7 +199,7 @@ def connected_components(mask: np.ndarray) -> np.ndarray:
     return labels
 
 
-def extract_bubbles(labels: np.ndarray, min_voxels: int) -> BubbleSet:
+def extract_bubbles(labels: np.ndarray, min_voxels: int) -> list[Bubble]:
     """Turn an (nz, ny, nx) integer label array into bubbles, dropping
     components smaller than ``min_voxels``.  Centroids are arithmetic means
     of member voxel coordinates in (x, y, z) order.
@@ -325,7 +321,7 @@ def pair_matches(a: Bubble, b: Bubble, geom_a: CylinderGeometry,
     return True
 
 
-def match_bubbles(a: BubbleSet, b: BubbleSet, geom_a: CylinderGeometry,
+def match_bubbles(a: list[Bubble], b: list[Bubble], geom_a: CylinderGeometry,
                   geom_b: CylinderGeometry, crit: MatchCriteria,
                   two_d: bool = False) -> list:
     """Match bubbles between two scans.

@@ -1,13 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from speckleflow import cli
 from speckleflow.cli import main, read_lame_dir, read_pgm, write_lame_dir, write_pgm
-from speckleflow.elastic import LameField
+from speckleflow.elastic import LameField, write_bc_config
 from speckleflow.errors import FormatError
-from speckleflow.grids import ScalarGrid, VectorGrid, read_f64grid, write_f64grid
+from speckleflow.grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
 from speckleflow.invert import boundary_band_mask, read_trace_csv
+from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
 from speckleflow.speckle import read_samples_csv
 
 
@@ -403,25 +406,100 @@ class TestExitCodes:
          "squares do not fit in the grid"),
         ("kind = inclusion\nnx = 24\nny = 24\nbubble_count = 3\ninclusion_radius = 4\n"
          "mu_bg = 0\n", "mu must be at least 1e-06 everywhere"),
-    ], ids=["inclusion-not-interior", "squares-do-not-fit", "mu_bg-zero"])
+        ("kind = inclusion\nnx = 24\nny = 24\nbubble_count = 3\ninclusion_radius = 4\n"
+         "seed = -1\n", "seed must be nonnegative"),
+        ("kind = moving_squares\nnx = 1000000000000000000000\n",
+         "nx x ny = 1000000000000000000000 x 200 exceeds the largest array numpy can index"),
+    ], ids=["inclusion-not-interior", "squares-do-not-fit", "mu_bg-zero", "seed-negative",
+            "nx-beyond-numpy"])
     def test_spec_failure_names_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "spec.cfg"
         spec.write_text(text)
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
-    @pytest.mark.parametrize("which", ["a", "b"])
-    def test_track_names_vector_input(self, tmp_path, capsys, which):
-        volume = tmp_path / "v.f64grid"
-        write_f64grid(volume, ScalarGrid(8, 8, np.eye(8)))
-        field = tmp_path / "u.f64grid"
-        write_f64grid(field, VectorGrid.zeros(8, 8))
-        cfg = tmp_path / "track.cfg"
+    def test_bubbles_that_cannot_fit_fail_at_once(self, tmp_path, capsys):
+        # rejection sampling used to retry 1000 times per bubble, and the
+        # inclusion's forward solve ran first
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("kind = inclusion\nnx = 200\nny = 200\nbubble_count = 100000\n")
+        start = time.perf_counter()
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (f"error: {spec}: bubble_count = 100000 exceeds "
+                                           f"the 1485 bubbles that fit 5.7 pixels apart in "
+                                           f"the 189x189 box the margin leaves\n")
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("flow", "alpha = 1e308\n", "flow system matrix"),
+        ("invert", "lambda0 = 1e308\n", "elastic stiffness"),
+        ("invert", "stepsize = constant(1e308)\n", "inversion update at stepsize 1e+308"),
+        ("forward", "", "elastic right-hand side"),
+    ], ids=["flow-alpha", "invert-lambda0", "invert-stepsize", "forward-bc"])
+    def test_overflow_is_named(self, tmp_path, capsys, monkeypatch, command, config,
+                               message):
+        # a small inclusion phantom; the forward solve presses its top by 1e308 pixels
+        lame, bc, u_true, image, _, _ = make_inclusion_phantom(PhantomSpec(
+            nx=24, ny=24, bubble_count=3, inclusion_radius=4, compression_px=3))
+        write_f64grid(tmp_path / "i.f64grid", image)
+        write_f64grid(tmp_path / "u.f64grid", u_true)
+        write_lame_dir(tmp_path / "lame", lame)
+        write_bc_config(tmp_path / "bc.cfg", bc)
+        if command == "forward":
+            (tmp_path / "bc.cfg").write_text("dirichlet bottom both 0\ndirichlet top uy 1e308\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + ("stopping = manual(2)\n" if command == "invert" else ""))
+        argv = {
+            "flow": ["--i1", "i.f64grid", "--i2", "i.f64grid", "--config", "run.cfg"],
+            "invert": ["--data", "u.f64grid", "--bc", "bc.cfg", "--config", "run.cfg"],
+            "forward": ["--lame", "lame", "--bc", "bc.cfg"],
+        }[command]
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *argv, "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message} overflows the float64 range\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option, bad", [
+        ("track", "a", VectorGrid), ("track", "b", VectorGrid),
+        ("flow", "i1", Volume), ("flow", "i1", VectorGrid),
+        ("flow", "i2", Volume), ("flow", "i2", VectorGrid),
+        ("invert", "data", ScalarGrid),
+        ("eval", "est", ScalarGrid), ("eval", "truth", ScalarGrid),
+        ("forward", "lambda", VectorGrid), ("forward", "mu", VectorGrid),
+    ])
+    def test_wrong_kind_input_names_file_and_both_kinds(self, tmp_path, capsys,
+                                                         command, option, bad):
+        grids = {ScalarGrid: ScalarGrid(8, 8, np.eye(8)), VectorGrid: VectorGrid.zeros(8, 8),
+                 Volume: Volume(8, 8, 3, np.ones((3, 8, 8)))}
+        kinds = {"a": Volume, "b": Volume, "i1": ScalarGrid, "i2": ScalarGrid,
+                 "data": VectorGrid, "est": VectorGrid, "truth": VectorGrid}
+        path = {o: str(tmp_path / f"{o}.f64grid") for o in kinds}
+        for o, kind in kinds.items():
+            write_f64grid(path[o], grids[kind])
+        lame = tmp_path / "lame"
+        write_lame_dir(lame, LameField.constant(8, 8, 1.0, 1.0))
+        path["lambda"], path["mu"] = str(lame / "lambda.f64grid"), str(lame / "mu.f64grid")
+        write_f64grid(path[option], grids[bad])
+        cfg = tmp_path / "empty.cfg"
         cfg.write_text("")
-        inputs = {"a": volume, "b": volume, which: field}
-        assert main(["track", "--a", str(inputs["a"]), "--b", str(inputs["b"]),
-                     "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
-        assert capsys.readouterr().err == f"error: {which} must be a scalar volume\n"
+        bc = tmp_path / "bc.cfg"
+        bc.write_text("dirichlet bottom both 0\ndirichlet top uy -1\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "track": ["--a", path["a"], "--b", path["b"], "--config", str(cfg), "--out", out],
+            "flow": ["--i1", path["i1"], "--i2", path["i2"], "--config", str(cfg),
+                     "--out", out],
+            "invert": ["--data", path["data"], "--bc", str(bc), "--config", str(cfg),
+                       "--out", out],
+            "eval": ["--est", path["est"], "--truth", path["truth"]],
+            "forward": ["--lame", str(lame), "--bc", str(bc), "--out", out],
+        }[command]
+        assert main([command, *argv]) == 2
+        wanted = kinds.get(option, ScalarGrid)
+        assert capsys.readouterr().err == (f"error: {path[option]}: expected a "
+                                           f"{wanted.__name__}, found a {bad.__name__} "
+                                           f"(byte offset 8)\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynth:

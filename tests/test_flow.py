@@ -345,10 +345,10 @@ class TestSolvers:
                                 displacement=np.array([0.0, 1.0]))]
         p = FlowParams(alpha=0.5, beta=beta, sigma_g=2.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NotSPD):
+            with pytest.raises(DomainError, match="flow system matrix overflows"):
                 multiscale_flow(i1, i2, s, p)
             sys = assemble(spatial_gradient(i1), temporal_difference(i1, i2), s, p)
-            with pytest.raises(NotSPD):
+            with pytest.raises(DomainError, match="flow system matrix overflows"):
                 solve_flow(sys)
 
     def test_solution_linearity_in_rhs(self):

@@ -22,11 +22,6 @@ class TestContainers:
         with pytest.raises(DomainError):
             ScalarGrid(2, 2, [1.0, 2.0, np.nan, 0.0])
 
-    def test_vector_grid_components(self):
-        v = VectorGrid.from_arrays(np.ones((2, 3)), 2 * np.ones((2, 3)))
-        assert v.ux.shape == (2, 3)
-        assert np.all(v.uy == 2.0)
-
     def test_volume_2d_degenerate(self):
         v = Volume.from_array(np.ones((4, 5)))
         assert (v.nx, v.ny, v.nz) == (5, 4, 1)
@@ -239,7 +234,7 @@ class TestDownsampleProlong:
     def test_down_then_prolong_constant_identity(self):
         g = ScalarGrid(10, 10, np.full((10, 10), 7.0))
         coarse = downsample(g, 0.5, 0.6)
-        u = VectorGrid.from_arrays(coarse.data, coarse.data)
+        u = VectorGrid(coarse.nx, coarse.ny, np.stack([coarse.data, coarse.data], axis=-1))
         fine = prolong(u, 10, 10, 1.0)
         np.testing.assert_allclose(fine.data[:, :, 0], 7.0, atol=1e-12)
 
@@ -292,25 +287,53 @@ class TestF64Grid:
         g = ScalarGrid(3, 2, np.random.default_rng(4).random((2, 3)))
         path = tmp_path / "s.f64grid"
         write_f64grid(path, g)
-        back = read_f64grid(path)
-        assert isinstance(back, ScalarGrid)
-        np.testing.assert_array_equal(back.data, g.data)
+        for kind in (None, ScalarGrid):
+            back = read_f64grid(path, kind)
+            assert isinstance(back, ScalarGrid)
+            np.testing.assert_array_equal(back.data, g.data)
 
     def test_vector_roundtrip(self, tmp_path):
         v = VectorGrid(4, 3, np.random.default_rng(5).standard_normal((3, 4, 2)))
         path = tmp_path / "v.f64grid"
         write_f64grid(path, v)
-        back = read_f64grid(path)
-        assert isinstance(back, VectorGrid)
-        np.testing.assert_array_equal(back.data, v.data)
+        for kind in (None, VectorGrid):
+            back = read_f64grid(path, kind)
+            assert isinstance(back, VectorGrid)
+            np.testing.assert_array_equal(back.data, v.data)
 
     def test_volume_roundtrip(self, tmp_path):
         v = Volume(2, 3, 4, np.random.default_rng(6).random((4, 3, 2)))
         path = tmp_path / "vol.f64grid"
         write_f64grid(path, v)
-        back = read_f64grid(path)
-        assert isinstance(back, Volume)
-        np.testing.assert_array_equal(back.data, v.data)
+        for kind in (None, Volume):
+            back = read_f64grid(path, kind)
+            assert isinstance(back, Volume)
+            np.testing.assert_array_equal(back.data, v.data)
+
+    def test_scalar_file_reads_as_one_slice_volume(self, tmp_path):
+        g = ScalarGrid(3, 2, np.random.default_rng(7).random((2, 3)))
+        path = tmp_path / "s.f64grid"
+        write_f64grid(path, g)
+        back = read_f64grid(path, Volume)
+        assert isinstance(back, Volume) and (back.nx, back.ny, back.nz) == (3, 2, 1)
+        np.testing.assert_array_equal(back.data[0], g.data)
+
+    @pytest.mark.parametrize("obj, kind", [
+        (ScalarGrid(2, 2, np.ones(4)), VectorGrid),
+        (VectorGrid(2, 2, np.ones(8)), ScalarGrid),
+        (VectorGrid(2, 2, np.ones(8)), Volume),
+        (Volume(2, 2, 3, np.ones(12)), ScalarGrid),
+        (Volume(2, 2, 3, np.ones(12)), VectorGrid),
+    ], ids=["scalar-as-vector", "vector-as-scalar", "vector-as-volume",
+            "volume-as-scalar", "volume-as-vector"])
+    def test_wrong_kind_names_path_and_both_kinds(self, tmp_path, obj, kind):
+        path = tmp_path / "w.f64grid"
+        write_f64grid(path, obj)
+        with pytest.raises(FormatError) as err:
+            read_f64grid(path, kind)
+        assert err.value.offset == len(b"F64GRID ")
+        assert str(err.value) == (f"{path}: expected a {kind.__name__}, found a "
+                                  f"{type(obj).__name__} (byte offset 8)")
 
     def test_header_layout_exact(self, tmp_path):
         g = ScalarGrid(2, 1, np.array([[1.0, 2.0]]))
@@ -319,6 +342,10 @@ class TestF64Grid:
         raw = path.read_bytes()
         assert raw.startswith(b"F64GRID 1 2 1 1\n")
         assert raw[16:] == np.array([1.0, 2.0]).astype("<f8").tobytes()
+        for obj, header in ((VectorGrid.zeros(4, 3), b"F64GRID 2 4 3 1\n"),
+                            (Volume(2, 3, 4, np.zeros(24)), b"F64GRID 1 2 3 4\n")):
+            write_f64grid(path, obj)
+            assert path.read_bytes().startswith(header)
 
     def test_bad_magic_offset(self, tmp_path):
         path = tmp_path / "bad.f64grid"

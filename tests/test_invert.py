@@ -63,7 +63,8 @@ class TestLandweberStep:
     def test_fixed_point_at_exact_data(self):
         lame, bc, u_true, *_ = small_phantom(1)
         cfg = InversionConfig(stopping="manual", manual_k=1)
-        p0 = LameField(lame.lam.copy(), lame.mu.copy())
+        p0 = LameField(ScalarGrid(lame.lam.nx, lame.lam.ny, lame.lam.data.copy()),
+                       ScalarGrid(lame.mu.nx, lame.mu.ny, lame.mu.data.copy()))
         out, omega, rnorm = landweber_step(p0, u_true, bc, cfg)
         assert rnorm <= 1e-9
         np.testing.assert_allclose(out.lam.data, p0.lam.data, atol=1e-8)
