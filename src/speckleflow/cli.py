@@ -24,14 +24,14 @@ from . import invert as invertmod
 from .config import naming_path, write_lines
 from .elastic import (LameField, forward_solve, read_bc_config,
                       write_bc_config, young_modulus)
-from .errors import FormatError, SpeckleFlowError
+from .errors import SpeckleFlowError
 from .grids import (ScalarGrid, VectorGrid, Volume, check_filter_width, read_f64grid,
                     write_f64grid)
 from .phantom import PhantomSpec, make_inclusion_phantom, make_moving_squares
 from .speckle import (read_samples_csv, run_tracking, tracking_config,
                       write_samples_csv)
 
-__all__ = ["main", "read_lame_dir", "write_lame_dir", "read_pgm", "write_pgm"]
+__all__ = ["main", "read_lame_dir", "write_lame_dir", "write_pgm"]
 
 
 class _UsageError(SystemExit):
@@ -57,41 +57,6 @@ def write_pgm(path, values: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii"))
         f.write(byte.tobytes())
-
-
-def read_pgm(path) -> ScalarGrid:
-    with open(path, "rb") as f:
-        raw = f.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            nl = raw.find(b"\n", pos)
-            pos = len(raw) if nl < 0 else nl + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise FormatError("truncated PGM header", offset=pos)
-        fields.append((start, raw[start:pos]))
-    if fields[0][1] != b"P5":
-        raise FormatError("not a binary PGM (P5) file", offset=fields[0][0])
-    try:
-        w, h, maxval = (int(fields[i][1]) for i in (1, 2, 3))
-    except ValueError:
-        raise FormatError("non-integer PGM header field", offset=fields[1][0])
-    if w < 1 or h < 1:
-        raise FormatError("PGM extents must be positive", offset=fields[1][0])
-    if maxval != 255:
-        raise FormatError("only 8-bit PGM supported", offset=fields[3][0])
-    pos += 1  # single whitespace after maxval
-    if len(raw) - pos < w * h:
-        raise FormatError("PGM payload truncated", offset=len(raw))
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-    return ScalarGrid(w, h, data.reshape(h, w).astype(np.float64) / 255.0)
 
 
 def write_lame_dir(path, lame: LameField) -> None:

@@ -263,7 +263,6 @@ class ElasticModel:
         K = sp.csr_matrix((data.ravel(), (self._rows, self._cols)),
                           shape=(2 * self.n_nodes, 2 * self.n_nodes))
         del data
-        K.sum_duplicates()
         return K.tocsc()
 
     @np.errstate(over="ignore", invalid="ignore")  # named below

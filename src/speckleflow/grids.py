@@ -118,27 +118,21 @@ class Volume:
 # intensity pre-processing
 
 
-def normalize_intensity(v: Volume, log_scale: bool) -> Volume:
+def normalize_intensity(v: Volume) -> Volume:
     """Rescale a volume's brightness to span exactly [0, 1].
 
-    With ``log_scale`` the data is mapped through log10 first, which
-    requires strictly positive input.  Constant input has no dynamic range
-    and is rejected.
+    Constant input has no dynamic range and is rejected.
     """
     data = v.data
-    if log_scale:
-        if np.any(data <= 0):
-            raise DomainError("log scaling requires strictly positive values")
-        data = np.log10(data)
     lo = float(data.min())
     hi = float(data.max())
     if hi == lo:
         raise ConstantField("cannot rescale a constant field to [0, 1]")
     if not math.isfinite(hi - lo):
         raise DomainError("intensity range exceeds the float64 range")
-    # rescaled in place on the one copy of the input; with a finite range
-    # every value lands in [0, 1]
-    out = np.subtract(data, lo, out=None if data is v.data else data)
+    # one copy of the input, rescaled in place; with a finite range every
+    # value lands in [0, 1]
+    out = data - lo
     out /= hi - lo
     return Volume._finite(out)
 

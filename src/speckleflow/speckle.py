@@ -265,32 +265,6 @@ _AXIS_3D = np.array([0.0, 0.0, 1.0])   # compression direction: +z (depth)
 _AXIS_2D = np.array([0.0, -1.0, 0.0])  # compression direction: -y
 
 
-def _pair_geometry(a: Bubble, b: Bubble, geom_a: CylinderGeometry,
-                   geom_b: CylinderGeometry, two_d: bool):
-    """Distances and angles entering the matching criteria for one pair."""
-    delta = b.centroid - a.centroid
-    d_ab = float(np.linalg.norm(delta))
-    if two_d:
-        axis = _AXIS_2D
-        d_oa = abs(a.centroid[0] - geom_a.center_xy[0])
-        d_ob = abs(b.centroid[0] - geom_b.center_xy[0])
-        phi = 0.0
-    else:
-        axis = _AXIS_3D
-        ra = a.centroid[:2] - geom_a.center_xy
-        rb = b.centroid[:2] - geom_b.center_xy
-        d_oa = float(np.linalg.norm(ra))
-        d_ob = float(np.linalg.norm(rb))
-        if d_oa > 0 and d_ob > 0:
-            cos_phi = np.clip(np.dot(ra, rb) / (d_oa * d_ob), -1.0, 1.0)
-            phi = float(np.arccos(cos_phi))
-        else:
-            phi = 0.0
-    axial = float(np.dot(delta, axis))
-    alpha = float(np.arccos(np.clip(axial / d_ab, -1.0, 1.0))) if d_ab > 0 else 0.0
-    return d_ab, d_oa, d_ob, axial, alpha, phi
-
-
 def pair_matches(a: Bubble, b: Bubble, geom_a: CylinderGeometry,
                  geom_b: CylinderGeometry, crit: MatchCriteria,
                  two_d: bool) -> bool:
@@ -307,18 +281,35 @@ def pair_matches(a: Bubble, b: Bubble, geom_a: CylinderGeometry,
     eps = crit.epsilon_small if a.voxel_volume < crit.volume_split else crit.epsilon_large
     if abs(a.voxel_volume - b.voxel_volume) >= eps:
         return False
-    d_ab, d_oa, d_ob, axial, alpha, phi = _pair_geometry(a, b, geom_a, geom_b, two_d)
+    delta = b.centroid - a.centroid
+    d_ab = float(np.linalg.norm(delta))
     if not 0.0 < d_ab <= crit.d_max:
         return False
+    if two_d:
+        axis = _AXIS_2D
+        d_oa = abs(a.centroid[0] - geom_a.center_xy[0])
+        d_ob = abs(b.centroid[0] - geom_b.center_xy[0])
+    else:
+        axis = _AXIS_3D
+        ra = a.centroid[:2] - geom_a.center_xy
+        rb = b.centroid[:2] - geom_b.center_xy
+        d_oa = float(np.linalg.norm(ra))
+        d_ob = float(np.linalg.norm(rb))
     if d_oa > d_ob:
         return False
+    axial = float(np.dot(delta, axis))
     if axial <= 0.0:
         return False
-    if not two_d and phi >= crit.phi_max:
-        return False
-    if not crit.alpha_min <= alpha <= crit.alpha_max:
-        return False
-    return True
+    if not two_d:
+        if d_oa > 0 and d_ob > 0:
+            cos_phi = np.clip(np.dot(ra, rb) / (d_oa * d_ob), -1.0, 1.0)
+            phi = float(np.arccos(cos_phi))
+        else:
+            phi = 0.0
+        if phi >= crit.phi_max:
+            return False
+    alpha = float(np.arccos(np.clip(axial / d_ab, -1.0, 1.0)))
+    return crit.alpha_min <= alpha <= crit.alpha_max
 
 
 def match_bubbles(a: list[Bubble], b: list[Bubble], geom_a: CylinderGeometry,
@@ -365,7 +356,7 @@ def match_bubbles(a: list[Bubble], b: list[Bubble], geom_a: CylinderGeometry,
 def detect(v: Volume, crit: MatchCriteria, top_fraction: float,
            presmooth_sigma: float):
     """Detection half of the pipeline: returns (bubbles, geometry)."""
-    smooth = gaussian_filter(normalize_intensity(v, log_scale=False), presmooth_sigma)
+    smooth = gaussian_filter(normalize_intensity(v), presmooth_sigma)
     mask = binarize_quantile(smooth.data, top_fraction)
     bubbles = extract_bubbles(connected_components(mask), crit.min_voxels)
     return bubbles, fit_circle(mask.any(axis=0))

@@ -5,9 +5,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from speckleflow import cli
-from speckleflow.cli import main, read_lame_dir, read_pgm, write_lame_dir, write_pgm
+from speckleflow.cli import main, read_lame_dir, write_lame_dir, write_pgm
 from speckleflow.elastic import LameField, write_bc_config
-from speckleflow.errors import FormatError
 from speckleflow.grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
 from speckleflow.invert import boundary_band_mask, read_trace_csv
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
@@ -31,6 +30,15 @@ class TestEval:
         assert capsys.readouterr().out.strip() == "0,0,0"
 
 
+def decode_pgm(path, w, h) -> np.ndarray:
+    """The (h, w) bytes of an 8-bit binary PGM as `write_pgm` lays it out."""
+    raw = path.read_bytes()
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    assert raw[:len(header)] == header
+    assert len(raw) == len(header) + w * h
+    return np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(h, w)
+
+
 class TestRender:
     def test_constant_field_uniform_pgm(self, tmp_path):
         g = ScalarGrid(6, 4, np.full((4, 6), 3.0))
@@ -38,17 +46,9 @@ class TestRender:
         write_f64grid(f, g)
         out = tmp_path / "img.pgm"
         assert main(["render", "--in", str(f), "--out", str(out)]) == 0
-        img = read_pgm(out)
-        assert np.unique(img.data).size == 1
+        img = decode_pgm(out, 6, 4)
+        assert np.unique(img).size == 1
         assert (tmp_path / "img.pgm.quiver.csv").exists()
-
-    @pytest.mark.parametrize("extents", [b"-1 -1", b"0 3"])
-    def test_pgm_with_nonpositive_extents_names_their_offset(self, tmp_path, extents):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P5\n" + extents + b"\n255\n\x00")
-        with pytest.raises(FormatError, match="extents") as info:
-            read_pgm(path)
-        assert info.value.offset == 3
 
     def test_vector_field_quiver(self, tmp_path):
         v = VectorGrid(32, 32, np.random.default_rng(1).standard_normal((32, 32, 2)))
@@ -64,9 +64,9 @@ class TestRender:
         vals = np.random.default_rng(2).integers(0, 256, (7, 9)) / 255.0
         path = tmp_path / "x.pgm"
         write_pgm(path, vals)
-        back = read_pgm(path)
+        back = decode_pgm(path, 9, 7) / 255.0
         scaled = (vals - vals.min()) / (vals.max() - vals.min())
-        np.testing.assert_allclose(back.data, scaled, atol=0.5 / 255.0 + 1e-12)
+        np.testing.assert_allclose(back, scaled, atol=0.5 / 255.0 + 1e-12)
 
 
 class TestExitCodes:

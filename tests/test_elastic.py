@@ -85,6 +85,16 @@ class TestForwardSolve:
             K_ff = K[np.ix_(free, free)]
             assert np.linalg.eigvalsh(K_ff).min() > 0
 
+    def test_stiffness_is_canonical(self):
+        # the COO -> CSR conversion sums the cells' duplicate entries, so
+        # assemble needs no sum_duplicates of its own
+        p, _ = random_field(9, 7, 0)
+        K = ElasticModel(9, 7, compression_bc()).assemble(p)
+        assert K.has_canonical_format
+        summed = K.copy()
+        summed.sum_duplicates()
+        assert summed.nnz == K.nnz
+
     def test_energy_identity(self):
         for seed in range(5):
             p, _ = random_field(8, 8, seed)

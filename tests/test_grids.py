@@ -28,32 +28,24 @@ class TestContainers:
 
 
 class TestNormalizeIntensity:
-    def test_log_scale_decades(self):
-        v = Volume.from_array(np.array([[1.0, 10.0, 100.0]]))
-        out = normalize_intensity(v, log_scale=True)
-        np.testing.assert_allclose(out.data.ravel(), [0.0, 0.5, 1.0], atol=1e-15)
-
     def test_already_normalized_unchanged(self):
         v = Volume.from_array(np.array([[0.0, 0.5, 1.0]]))
-        out = normalize_intensity(v, log_scale=False)
+        out = normalize_intensity(v)
         np.testing.assert_array_equal(out.data, v.data)
 
     def test_constant_rejected(self):
         with pytest.raises(ConstantField):
-            normalize_intensity(Volume.from_array(np.full((2, 3), 5.0)), False)
-
-    def test_nonpositive_with_log_rejected(self):
-        with pytest.raises(DomainError):
-            normalize_intensity(Volume.from_array(np.array([[0.0, 1.0]])), True)
+            normalize_intensity(Volume.from_array(np.full((2, 3), 5.0)))
 
     def test_range_beyond_float64_rejected(self):
         with pytest.raises(DomainError, match="float64 range"):
-            normalize_intensity(Volume.from_array(np.array([[-1e308, 0.0, 1e308]])), False)
+            normalize_intensity(Volume.from_array(np.array([[-1e308, 0.0, 1e308]])))
 
-    @pytest.mark.parametrize("log_scale", [False, True])
-    def test_result_volume_keeps_the_input_extents(self, log_scale):
-        v = Volume.from_array(np.random.default_rng(3).random((2, 4, 5)) + 0.5)
-        out = normalize_intensity(v, log_scale)
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_result_volume_keeps_the_input_extents(self, signed):
+        v = Volume.from_array(np.random.default_rng(3).random((2, 4, 5))
+                              + (-0.5 if signed else 0.5))
+        out = normalize_intensity(v)
         assert (out.nx, out.ny, out.nz, out.data.shape, out.data.dtype) == \
             (5, 4, 2, (2, 4, 5), np.float64)
         assert np.all(np.isfinite(out.data))
@@ -62,7 +54,7 @@ class TestNormalizeIntensity:
     def test_monotone(self):
         rng = np.random.default_rng(0)
         vals = rng.random((4, 5)) + 0.1
-        out = normalize_intensity(Volume.from_array(vals), log_scale=True)
+        out = normalize_intensity(Volume.from_array(vals))
         order_in = np.argsort(vals.ravel())
         order_out = np.argsort(out.data.ravel())
         np.testing.assert_array_equal(order_in, order_out)
@@ -132,13 +124,12 @@ class TestPreprocessingMemory:
     SHAPES = [(6, 9, 11), (1, 12, 7), (5, 1, 8), (4, 6, 1), (1, 1, 1)]
 
     @pytest.mark.parametrize("shape", SHAPES[:-1])
-    @pytest.mark.parametrize("log_scale", [False, True])
-    def test_normalize_equals_formula(self, shape, log_scale):
-        v = Volume.from_array(np.random.default_rng(4).random(shape) + 0.1)
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_normalize_equals_formula(self, shape, signed):
+        v = Volume.from_array(np.random.default_rng(4).random(shape) + (-0.6 if signed else 0.1))
         before = v.data.copy()
-        data = np.log10(v.data) if log_scale else v.data
-        expect = (data - data.min()) / (data.max() - data.min())
-        np.testing.assert_array_equal(normalize_intensity(v, log_scale).data, expect)
+        expect = (before - before.min()) / (before.max() - before.min())
+        np.testing.assert_array_equal(normalize_intensity(v).data, expect)
         np.testing.assert_array_equal(v.data, before)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -162,7 +153,7 @@ class TestPreprocessingMemory:
         v = Volume.from_array(np.random.default_rng(6).random((16, 48, 48)))
         tracemalloc.start()
         try:
-            gaussian_filter(normalize_intensity(v, log_scale=False), 0.9)
+            gaussian_filter(normalize_intensity(v), 0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -53,7 +53,7 @@ def flood_fill_labels(mask: np.ndarray) -> np.ndarray:
 def float_coded_detect(v, crit, top_fraction, presmooth_sigma):
     """Detection as done with float-coded volumes: a float 0/1 mask, a float
     label volume, and its int64 cast read label by label."""
-    smooth = gaussian_filter(normalize_intensity(v, log_scale=False), presmooth_sigma)
+    smooth = gaussian_filter(normalize_intensity(v), presmooth_sigma)
     threshold = np.quantile(smooth.data, 1.0 - top_fraction)
     binary = Volume(v.nx, v.ny, v.nz, (smooth.data > threshold).astype(np.float64))
     labels, _ = ndimage.label(binary.data != 0, structure=np.ones((3, 3, 3), dtype=int))
@@ -515,6 +515,52 @@ class TestDisplacementSample:
             DisplacementSample(**values)
 
 
+def eager_pair_matches(a, b, geom_a, geom_b, crit, two_d):
+    """`pair_matches` as it was when every distance and angle was computed
+    before any criterion was tested."""
+    delta = b.centroid - a.centroid
+    d_ab = float(np.linalg.norm(delta))
+    if two_d:
+        axis = np.array([0.0, -1.0, 0.0])
+        d_oa = abs(a.centroid[0] - geom_a.center_xy[0])
+        d_ob = abs(b.centroid[0] - geom_b.center_xy[0])
+        phi = 0.0
+    else:
+        axis = np.array([0.0, 0.0, 1.0])
+        ra = a.centroid[:2] - geom_a.center_xy
+        rb = b.centroid[:2] - geom_b.center_xy
+        d_oa = float(np.linalg.norm(ra))
+        d_ob = float(np.linalg.norm(rb))
+        if d_oa > 0 and d_ob > 0:
+            phi = float(np.arccos(np.clip(np.dot(ra, rb) / (d_oa * d_ob), -1.0, 1.0)))
+        else:
+            phi = 0.0
+    axial = float(np.dot(delta, axis))
+    alpha = float(np.arccos(np.clip(axial / d_ab, -1.0, 1.0))) if d_ab > 0 else 0.0
+    eps = crit.epsilon_small if a.voxel_volume < crit.volume_split else crit.epsilon_large
+    return (abs(a.voxel_volume - b.voxel_volume) < eps and 0.0 < d_ab <= crit.d_max
+            and d_oa <= d_ob and axial > 0.0 and (two_d or phi < crit.phi_max)
+            and crit.alpha_min <= alpha <= crit.alpha_max)
+
+
+class TestPairMatches:
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.data(), st.sampled_from([0.0, 0.2, 1.0, 3.2]),
+           st.sampled_from([0.0, 0.3]))
+    def test_equals_eager_evaluation(self, two_d, data, phi_max, alpha_min):
+        # lattice centroids put bubbles on the cylinder axis (2, 2), where
+        # phi is 0 and phi_max = 0 still rejects
+        a = data.draw(_lattice_bubbles(two_d))
+        b = data.draw(_lattice_bubbles(two_d))
+        crit = _crit(epsilon_small=3.0, epsilon_large=3.0, d_max=5.0, phi_max=phi_max,
+                     alpha_min=alpha_min, alpha_max=1.6)
+        geom = _geom(2.0, 2.0)
+        for bub_a in a:
+            for bub_b in b:
+                assert (pair_matches(bub_a, bub_b, geom, geom, crit, two_d)
+                        == eager_pair_matches(bub_a, bub_b, geom, geom, crit, two_d))
+
+
 # two b bubbles tie with the a bubble on the whole sort key, at d_AB == d_max,
 # so the visiting order of the candidates decides which one is matched
 _TIED_B = [Bubble(label=1, centroid=[4, 3, 1], voxel_volume=2),
@@ -677,8 +723,8 @@ class TestRunTracking:
             run_tracking(v, v, MatchCriteria(), **kw)
 
     def test_each_volume_is_normalized_and_smoothed_once(self, monkeypatch):
-        # the benchmark's trace hooks speckle.normalize_intensity and
-        # speckle.gaussian_filter by attribute: detect must call both there
+        # the benchmark's trace hooks speckle.gaussian_filter by attribute,
+        # so detect must call it there; each volume is also normalized once
         calls = {"normalize_intensity": 0, "gaussian_filter": 0}
 
         def counted(name):
