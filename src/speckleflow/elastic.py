@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .config import content_lines, finite_float, naming_path, write_lines
 from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
-                     NotSPD, ShapeMismatch, SingularSystem)
+                     ShapeMismatch, SingularSystem)
 from .grids import ScalarGrid, VectorGrid
 from .linsolve import (GridFactor, check_overflow, check_solution, grid_order,
                        solve_near)
@@ -309,6 +309,7 @@ class ElasticFactors:
                 x = solve_near(system.K_ff, system.rhs, self._lu)
             except NotConverged:
                 return m.factorize(p).solve_forward()
+        check_overflow("elastic solve", x)
         check_solution(system.K_ff, x, system.rhs)
         u = m.lift.copy()
         u[m.free] += x
@@ -319,8 +320,7 @@ class ElasticFactors:
         m = self.model
         w = np.zeros(2 * m.n_nodes)
         x = self._lu.solve(rhs_full[m.free])
-        if not np.all(np.isfinite(x)):
-            raise NotSPD("solve produced non-finite values")
+        check_overflow("elastic solve", x)
         w[m.free] = x
         return w
 

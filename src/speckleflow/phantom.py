@@ -191,6 +191,8 @@ def make_moving_squares(spec: PhantomSpec):
         raise SpecError("spec.kind must be 'moving_squares'")
     nx, ny, size = spec.nx, spec.ny, spec.square_size
     shift = spec.square_shift
+    if not math.isfinite(2 * shift):  # no integer gap holds such a shift
+        raise SpecError("squares do not fit in the grid")
     cy0 = (ny - size) // 2
     gap = int(round(2 * shift)) + 6
     ax0 = nx // 2 - gap // 2 - size

@@ -410,8 +410,11 @@ class TestExitCodes:
          "seed = -1\n", "seed must be nonnegative"),
         ("kind = moving_squares\nnx = 1000000000000000000000\n",
          "nx x ny = 1000000000000000000000 x 200 exceeds the largest array numpy can index"),
+        # twice the shift overflows, so no integer gap between the squares holds it
+        ("kind = moving_squares\nsquare_shift = 1e308\n", "squares do not fit in the grid"),
+        ("kind = moving_squares\nsquare_shift = -1e308\n", "squares do not fit in the grid"),
     ], ids=["inclusion-not-interior", "squares-do-not-fit", "mu_bg-zero", "seed-negative",
-            "nx-beyond-numpy"])
+            "nx-beyond-numpy", "square-shift-1e308", "square-shift-minus-1e308"])
     def test_spec_failure_names_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "spec.cfg"
         spec.write_text(text)
@@ -458,6 +461,20 @@ class TestExitCodes:
         assert main([command, *argv, "--out", "out"]) == 2
         assert capsys.readouterr().err == f"error: {message} overflows the float64 range\n"
         assert not (tmp_path / "out").exists()
+
+    def test_elastic_solve_overflow_is_named(self, tmp_path, capsys):
+        # step 0 leaves mu near the float64 limit with a finite stiffness;
+        # the next forward solve overflows
+        data = np.random.default_rng(5).random((16, 16, 2))
+        write_f64grid(tmp_path / "u.f64grid", VectorGrid(16, 16, data))
+        (tmp_path / "bc.cfg").write_text("dirichlet bottom both 0\ndirichlet top uy -1\n")
+        (tmp_path / "run.cfg").write_text("stepsize = constant(1e308)\nstopping = manual(2)\n")
+        out = tmp_path / "out"
+        assert main(["invert", "--data", str(tmp_path / "u.f64grid"),
+                     "--bc", str(tmp_path / "bc.cfg"), "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: elastic solve overflows the float64 range\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, option, bad", [
         ("track", "a", VectorGrid), ("track", "b", VectorGrid),
