@@ -23,8 +23,7 @@ from .grids import (ScalarGrid, VectorGrid, Volume, downsample,
                     pyramid_sigma, read_f64grid, spatial_gradient,
                     temporal_difference, write_f64grid)
 from .invert import (InversionConfig, IterationTrace, field_error,
-                     landweber_step, nesterov_iterate, stop_discrepancy,
-                     stop_heuristic)
+                     landweber_step, nesterov_iterate, stop_heuristic)
 from .phantom import PhantomSpec, make_inclusion_phantom, make_moving_squares
 from .speckle import (Bubble, CylinderGeometry, DisplacementSample,
                       MatchCriteria, binarize_quantile, connected_components,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import finite_float, naming_path, read_config, read_table, write_lines
+from .config import finite_float, naming_path, read_config, write_lines
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, read_f64grid
@@ -33,13 +33,11 @@ __all__ = [
     "IterationTrace",
     "landweber_step",
     "nesterov_iterate",
-    "stop_discrepancy",
     "stop_heuristic",
     "field_error",
     "field_inner",
     "field_norm",
     "boundary_band_mask",
-    "read_trace_csv",
     "write_trace_csv",
 ]
 
@@ -197,17 +195,6 @@ class IterationTrace:
 
     def __len__(self):
         return len(self.ks)
-
-
-def stop_discrepancy(trace: IterationTrace, tau: float, delta: float):
-    """Smallest recorded k with residual <= tau * delta, else None."""
-    if tau <= 1:
-        raise DomainError("tau must exceed 1")
-    bound = tau * delta
-    for k, r in zip(trace.ks, trace.residuals):
-        if r <= bound:
-            return k
-    return None
 
 
 def stop_heuristic(trace: IterationTrace) -> int:
@@ -388,21 +375,9 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
 # ---------------------------------------------------------------------------
 # trace CSV
 
-_TRACE_HEADER = "k,residual,stepsize,heuristic"
-
-
 def write_trace_csv(path, trace: IterationTrace) -> None:
-    lines = [_TRACE_HEADER]
+    lines = ["k,residual,stepsize,heuristic"]
     for k, r, s, hv in zip(trace.ks, trace.residuals, trace.stepsizes,
                            trace.heuristics):
         lines.append(f"{k},{r:.17g},{s:.17g},{hv:.17g}")
     write_lines(path, lines)
-
-
-def read_trace_csv(path) -> IterationTrace:
-    """Only the stepsize (nan on the final row) and the heuristic (inf at
-    k = 0, recomputed here) may be non-finite."""
-    trace = IterationTrace()
-    for k, r, s, _ in read_table(path, _TRACE_HEADER, (int, finite_float, float, float)):
-        trace.append(k, r, s)
-    return trace

@@ -1,0 +1,30 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import speckleflow
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(speckleflow.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_resolve(name):
+    module = importlib.import_module(f"speckleflow.{name}")
+    public = getattr(module, "__all__", [])
+    assert len(set(public)) == len(public)
+    assert [n for n in public if not hasattr(module, n)] == []
+
+
+def test_package_exports_are_public_names_of_their_modules():
+    tree = ast.parse(Path(speckleflow.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        for alias in node.names:
+            assert hasattr(speckleflow, alias.asname or alias.name)
+            if node.module is not None:
+                module = importlib.import_module(f"speckleflow.{node.module}")
+                assert alias.name in module.__all__, f"{node.module}.{alias.name}"

@@ -6,9 +6,10 @@ import scipy.sparse.linalg as spla
 
 from speckleflow import cli
 from speckleflow.cli import main, read_lame_dir, write_lame_dir, write_pgm
+from speckleflow.config import read_table
 from speckleflow.elastic import LameField, write_bc_config
 from speckleflow.grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
-from speckleflow.invert import boundary_band_mask, read_trace_csv
+from speckleflow.invert import boundary_band_mask
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
 from speckleflow.speckle import read_samples_csv
 
@@ -592,9 +593,9 @@ class TestPipeline:
         assert (lame_out / "lambda.f64grid").exists()
         assert (lame_out / "mu.f64grid").exists()
         assert (lame_out / "young.f64grid").exists()
-        t = read_trace_csv(trace)
-        assert len(t) == 6  # 5 steps + final residual row
-        assert t.residuals[-1] < t.residuals[0]
+        rows = read_table(trace, "k,residual,stepsize,heuristic", [float] * 4)
+        assert len(rows) == 6  # 5 steps + final residual row
+        assert rows[-1][1] < rows[0][1]
 
         assert main(["eval", "--est", str(u_est),
                      "--truth", str(out / "u_true.f64grid")]) == 0

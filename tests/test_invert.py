@@ -5,17 +5,27 @@ import numpy as np
 import pytest
 
 from speckleflow import linsolve
+from speckleflow.config import finite_float, read_table
 from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR, forward_solve
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch
 from speckleflow.grids import ScalarGrid, VectorGrid, write_f64grid
 from speckleflow.invert import (InversionConfig, IterationTrace,
                                 boundary_band_mask, field_error, field_norm,
                                 landweber_step, nesterov_alpha, nesterov_iterate,
-                                read_trace_csv, stop_discrepancy,
                                 stop_heuristic, write_trace_csv)
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
 
 DATA = Path(__file__).parent / "data"
+
+
+def read_trace(path) -> IterationTrace:
+    """The trace CSV at `path` as the README lays it out: an integer k and a
+    finite residual on each row; the heuristic is recomputed."""
+    trace = IterationTrace()
+    for k, r, s, _ in read_table(path, "k,residual,stepsize,heuristic",
+                                 (int, finite_float, float, float)):
+        trace.append(k, r, s)
+    return trace
 
 
 def small_phantom(seed=0, n=24):
@@ -229,7 +239,21 @@ class TestNesterov:
                               stopping="discrepancy", max_iter=100)
         result, trace = nesterov_iterate(cfg, u_true, bc)
         assert trace.stopped_by == "discrepancy"
+        # the first iterate within tau * delta, and the run ends there
+        assert trace.k_star > 0
         assert trace.residuals[trace.k_star] <= 1.5 * 0.05
+        assert min(trace.residuals[:trace.k_star]) > 1.5 * 0.05
+        assert len(trace) == trace.k_star + 1
+
+    def test_discrepancy_zero_delta_stops_at_exact_start(self):
+        # data made at the initial guess: its residual is 0 <= tau * 0
+        _, bc, *_ = small_phantom(6, n=16)
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, tau=1.5, delta=0.0,
+                              stopping="discrepancy", max_iter=5)
+        udelta = forward_solve(cfg.initial_for(16, 16), bc)
+        result, trace = nesterov_iterate(cfg, udelta, bc)
+        assert (trace.stopped_by, trace.k_star, trace.residuals) == ("discrepancy", 0, [0.0])
+        np.testing.assert_array_equal(result.mu.data, 10.0)
 
     def test_max_iter_flag_and_best_so_far(self):
         lame, bc, u_true, *_ = small_phantom(7, n=16)
@@ -246,22 +270,6 @@ class TestStoppingRules:
         for i, r in enumerate(residuals):
             t.append(i if ks is None else ks[i], r, 1.0)
         return t
-
-    def test_discrepancy_first_hit(self):
-        t = self._trace([5.0, 3.0, 1.0])
-        assert stop_discrepancy(t, tau=2.0, delta=1.0) == 2
-
-    def test_discrepancy_none(self):
-        t = self._trace([5.0, 3.0])
-        assert stop_discrepancy(t, tau=1.1, delta=1.0) is None
-
-    def test_discrepancy_zero_delta(self):
-        t = self._trace([5.0, 0.0])
-        assert stop_discrepancy(t, tau=1.5, delta=0.0) == 1
-
-    def test_discrepancy_tau_validation(self):
-        with pytest.raises(DomainError):
-            stop_discrepancy(self._trace([1.0]), tau=1.0, delta=1.0)
 
     def test_heuristic_example(self):
         t = self._trace([10.0, 1.0, 1.0, 1.0], ks=[1, 2, 3, 4])
@@ -384,7 +392,7 @@ class TestConfigAndTrace:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, t)
         assert path.read_text().splitlines()[0] == "k,residual,stepsize,heuristic"
-        back = read_trace_csv(path)
+        back = read_trace(path)
         assert back.ks == t.ks
         assert back.residuals == t.residuals
         assert back.stepsizes == t.stepsizes
@@ -395,16 +403,16 @@ class TestConfigAndTrace:
         path = tmp_path / "trace.csv"
         path.write_text(f"k,residual,stepsize,heuristic\n0,3,0.5,inf\n\n{row}\n2,1,nan,1.4\n")
         with pytest.raises(FormatError) as err:
-            read_trace_csv(path)
+            read_trace(path)
         assert str(err.value).startswith(f"{path}:4:")
         path.write_text("k,residual,stepsize,heuristic\n0,3,0.5,inf\n\n2,1,nan,1.4\n")
-        assert read_trace_csv(path).ks == [0, 2]
+        assert read_trace(path).ks == [0, 2]
 
     def test_trace_csv_not_utf8(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_bytes(b"k,residual,stepsize,heuristic\n0,\xff,1,1\n")
         with pytest.raises(FormatError, match="not a UTF-8 text file"):
-            read_trace_csv(path)
+            read_trace(path)
 
     def test_printed_stepsize_variant_runs(self):
         lame, bc, u_true, *_ = small_phantom(8, n=16)
