@@ -81,10 +81,10 @@ def read_lame_dir(path) -> LameField:
 def _cmd_synth(args):
     spec = PhantomSpec.from_config(args.spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if spec.kind == "moving_squares":
         with naming_path(args.spec):
             i1, i2, true_flow, samples = make_moving_squares(spec)
+        out.mkdir(parents=True, exist_ok=True)
         write_f64grid(out / "i1.f64grid", i1)
         write_f64grid(out / "i2.f64grid", i2)
         write_f64grid(out / "flow_true.f64grid", true_flow)
@@ -92,6 +92,7 @@ def _cmd_synth(args):
     else:
         with naming_path(args.spec):
             lame, bc, u_true, i1, i2, samples = make_inclusion_phantom(spec)
+        out.mkdir(parents=True, exist_ok=True)
         write_lame_dir(out / "lame", lame)
         write_bc_config(out / "bc.cfg", bc)
         write_f64grid(out / "u_true.f64grid", u_true)

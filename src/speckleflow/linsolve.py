@@ -256,6 +256,13 @@ class GridMultigrid:
         return level.smooth(b, x)
 
 
+def _norm(v: np.ndarray) -> float:
+    # BLAS nrm2 rescales as it sums: numpy's norm overflows once |v| passes
+    # about 1e154, and inf <= tol * inf would accept any residual
+    return linalg.norm(v, check_finite=False)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # raised as NotConverged below
 def solve_near(A: sp.spmatrix, b: np.ndarray,
                near: GridFactor | GridMultigrid) -> np.ndarray:
     """Solve the SPD system A x = b by conjugate gradients preconditioned
@@ -267,18 +274,19 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
     module's iteration cap, or as soon as it cannot within the cap: from
     the eighth iteration j on, once the mean contraction so far,
     rho = (||r_j|| / ||r_0||)^(1/j), would leave ||r_j|| rho^(cap - j)
-    above the tolerance.
+    above the tolerance.  An inner product that overflows also raises
+    `NotConverged`, so that the caller's factorization names the failure.
     """
     # not scipy's `cg`: it reports success when maxiter is 0 and does not test
     # the residual after its last iteration, so the cap would not be exact
     x = near.solve(b)
     r = b - A @ x
-    bnorm = np.linalg.norm(b)
+    bnorm = _norm(b)
     tol = _CG_RTOL * bnorm
-    r0 = np.linalg.norm(r)
+    r0 = _norm(r)
     p = rz = None
     for j in range(_CG_MAX_ITER):
-        rnorm = np.linalg.norm(r)
+        rnorm = _norm(r)
         if rnorm <= tol:
             break
         if j >= 8 and rnorm * (rnorm / r0) ** ((_CG_MAX_ITER - j) / j) > tol:
@@ -289,10 +297,13 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
         rz_prev, rz = rz, r @ z
         p = z if p is None else z + (rz / rz_prev) * p
         q = A @ p
-        step = rz / (p @ q)
+        pq = p @ q
+        if not (np.isfinite(rz) and np.isfinite(pq)):
+            raise NotConverged("preconditioned cg overflows the float64 range")
+        step = rz / pq
         x += step * p
         r -= step * q
-    rnorm = np.linalg.norm(r)
+    rnorm = _norm(r)
     if not rnorm <= tol:
         raise NotConverged(f"preconditioned cg hit the iteration cap ({_CG_MAX_ITER})",
                            residual=rnorm / bnorm)
@@ -312,10 +323,8 @@ def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
     finite or its relative residual exceeds the bound below."""
     if not np.all(np.isfinite(x)):
         raise NotSPD("sparse solve produced non-finite values")
-    # BLAS nrm2 rescales as it sums: numpy's norm overflows once |b| passes
-    # about 1e154, and inf <= 1e-10 * inf would accept any x
-    rnorm = linalg.norm(A @ x - b, check_finite=False)
-    scale = linalg.norm(b, check_finite=False)
+    rnorm = _norm(A @ x - b)
+    scale = _norm(b)
     if not rnorm <= 1e-10 * scale:
         raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
 

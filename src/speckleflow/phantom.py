@@ -197,17 +197,22 @@ def make_moving_squares(spec: PhantomSpec):
     gap = int(round(2 * shift)) + 6
     ax0 = nx // 2 - gap // 2 - size
     bx0 = nx // 2 + gap // 2
-    if ax0 < 1 or bx0 + size > nx - 1:
+    # square A moves right and square B left, to these columns of frame 2
+    ax2, bx2 = int(round(ax0 + shift)), int(round(bx0 - shift))
+    # frame 1 keeps a one-pixel border in x; a slice of the rows or of
+    # frame 2 that started below 0 would wrap around, one past the end clip
+    if not (cy0 >= 0 and 1 <= min(ax0, bx0) and max(ax0, bx0) + size <= nx - 1
+            and 0 <= min(ax2, bx2) and max(ax2, bx2) + size <= nx):
         raise SpecError("squares do not fit in the grid")
-    a1 = (ax0 + shift, cy0)      # square A moves right
-    b1 = (bx0 - shift, cy0)      # square B moves left
-    if a1[0] + size > b1[0]:
-        raise SpecError("squares overlap after translation")
+    # the gap keeps frame 2's squares at least 4 pixels apart; a shift
+    # below -3.25 makes it negative, and the squares overlap in frame 1
+    if ax0 + size > bx0:
+        raise SpecError("squares overlap")
 
     def square_img(ax, bx):
         img = np.zeros((ny, nx))
-        img[cy0:cy0 + size, int(round(ax)):int(round(ax)) + size] = spec.square_intensity
-        img[cy0:cy0 + size, int(round(bx)):int(round(bx)) + size] = spec.square_intensity
+        img[cy0:cy0 + size, ax:ax + size] = spec.square_intensity
+        img[cy0:cy0 + size, bx:bx + size] = spec.square_intensity
         return img
 
     flow = np.zeros((ny, nx, 2))
@@ -224,7 +229,7 @@ def make_moving_squares(spec: PhantomSpec):
     disps[rows & (bx0 <= cx) & (cx < bx0 + size), 0] = -shift
 
     raw1 = square_img(ax0, bx0) + render_blobs(nx, ny, centers, sigmas)
-    raw2 = square_img(a1[0], b1[0]) + render_blobs(nx, ny, centers + disps, sigmas)
+    raw2 = square_img(ax2, bx2) + render_blobs(nx, ny, centers + disps, sigmas)
     d1, d2 = _rescale_pair(raw1, raw2)
     samples = _noised_samples(centers, disps, spec.noise_rel, rng)
     return (ScalarGrid(nx, ny, d1), ScalarGrid(nx, ny, d2), true_flow, samples)

@@ -414,13 +414,26 @@ class TestExitCodes:
         # twice the shift overflows, so no integer gap between the squares holds it
         ("kind = moving_squares\nsquare_shift = 1e308\n", "squares do not fit in the grid"),
         ("kind = moving_squares\nsquare_shift = -1e308\n", "squares do not fit in the grid"),
+        # square A would start past the right edge in frame 1, B before the left
+        ("kind = moving_squares\nsquare_shift = -1e18\n", "squares do not fit in the grid"),
+        # frame 2's square A would start at column -2, which numpy wraps around
+        ("kind = moving_squares\nnx = 50\nny = 50\nsquare_size = 24\nsquare_shift = -3\n"
+         "bubble_count = 20\n", "squares do not fit in the grid"),
+        # square rows from -4, which numpy wraps around too
+        ("kind = moving_squares\nny = 40\nbubble_count = 20\n",
+         "squares do not fit in the grid"),
+        ("kind = moving_squares\nsquare_shift = -10\n", "squares overlap"),
     ], ids=["inclusion-not-interior", "squares-do-not-fit", "mu_bg-zero", "seed-negative",
-            "nx-beyond-numpy", "square-shift-1e308", "square-shift-minus-1e308"])
+            "nx-beyond-numpy", "square-shift-1e308", "square-shift-minus-1e308",
+            "square-shift-minus-1e18", "square-shift-wraps", "squares-taller-than-grid",
+            "squares-overlap"])
+    @pytest.mark.filterwarnings("error")
     def test_spec_failure_names_spec(self, tmp_path, capsys, text, message):
         spec = tmp_path / "spec.cfg"
         spec.write_text(text)
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bubbles_that_cannot_fit_fail_at_once(self, tmp_path, capsys):
         # rejection sampling used to retry 1000 times per bubble, and the
@@ -439,7 +452,12 @@ class TestExitCodes:
         ("invert", "lambda0 = 1e308\n", "elastic stiffness"),
         ("invert", "stepsize = constant(1e308)\n", "inversion update at stepsize 1e+308"),
         ("forward", "", "elastic right-hand side"),
-    ], ids=["flow-alpha", "invert-lambda0", "invert-stepsize", "forward-bc"])
+        # step 0 leaves a stiffness whose right-hand side passes 1e154, where
+        # numpy's norm overflowed inside the next iterate's conjugate gradients
+        ("invert", "stepsize = constant(1e300)\n", "elastic solve"),
+    ], ids=["flow-alpha", "invert-lambda0", "invert-stepsize", "forward-bc",
+            "invert-cg-norm"])
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_named(self, tmp_path, capsys, monkeypatch, command, config,
                                message):
         # a small inclusion phantom; the forward solve presses its top by 1e308 pixels

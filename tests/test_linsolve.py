@@ -108,6 +108,15 @@ def test_solve_near_reports_the_cap(monkeypatch, cap):
     assert info.value.residual > 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_near_gives_up_at_once_on_overflow():
+    # numpy's norm of such a b is inf, which accepted the first answer; with
+    # finite norms r @ z overflows in the first iteration
+    A, near, rng = stiffness_and_nearby_factor(0, 0.1)
+    with pytest.raises(NotConverged, match="overflows the float64 range"):
+        solve_near(A, 1e160 * rng.standard_normal(A.shape[0]), near)
+
+
 def flow_matrix(nx, ny, seed, gamma=0.0):
     rng = np.random.default_rng(seed)
     grad = VectorGrid(nx, ny, rng.standard_normal((ny, nx, 2)))

@@ -91,6 +91,36 @@ class TestMovingSquares:
         with pytest.raises(SpecError):
             make_moving_squares(PhantomSpec(kind="inclusion"))
 
+    def test_negative_shift_moves_squares_apart(self):
+        spec = PhantomSpec(kind="moving_squares", nx=96, ny=96, bubble_count=0,
+                           square_size=24, square_shift=-3.0)
+        i1, i2, flow, _ = make_moving_squares(spec)
+        rows = slice(36, 60)
+        expected = np.zeros((96, 96, 2))
+        expected[rows, 24:48, 0] = -3.0
+        expected[rows, 48:72, 0] = 3.0
+        np.testing.assert_array_equal(flow.data, expected)
+        for frame, (a, b) in ((i1, (24, 48)), (i2, (21, 51))):
+            lit = np.zeros((96, 96))
+            lit[rows, a:a + 24] = lit[rows, b:b + 24] = 1.0
+            np.testing.assert_array_equal(frame.data, lit)
+
+    def test_squares_that_build_are_whole_in_both_frames(self):
+        # on a 40-pixel grid, shifts below -3.25 overlap the squares and
+        # shifts above 8.5 leave the grid; the rest must draw two whole
+        # squares in each frame, and the flow must cover frame 1's
+        for shift in np.arange(-12.0, 12.0, 0.25):
+            spec = PhantomSpec(kind="moving_squares", nx=40, ny=12, bubble_count=0,
+                               square_size=8, square_shift=float(shift), margin=1)
+            if not -3.25 <= shift <= 8.5:
+                with pytest.raises(SpecError):
+                    make_moving_squares(spec)
+                continue
+            i1, i2, flow, _ = make_moving_squares(spec)
+            assert (i1.data == 1.0).sum() == (i2.data == 1.0).sum() == 2 * 8 ** 2
+            np.testing.assert_array_equal(flow.data[:, :, 0] != 0,
+                                          (i1.data == 1.0) & (shift != 0))
+
 
 class TestInclusion:
     def test_zero_compression_identity(self):
