@@ -105,7 +105,6 @@ class InversionConfig:
     omega: float = field(default=1.0, metadata={"config": False})
     boundary_mask: ScalarGrid | None = None
     stopping: str = "manual"
-    manual_k: int = field(default=100, metadata={"config": False})
 
     def __post_init__(self):
         for name in ("lambda0", "mu0", "tau", "delta"):
@@ -125,10 +124,8 @@ class InversionConfig:
             raise DomainError("tau must exceed 1 for the discrepancy principle")
         if self.delta < 0:
             raise DomainError("delta must be nonnegative")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-        if self.stopping == "manual" and not 0 <= self.manual_k:
-            raise DomainError("manual stopping index must be nonnegative")
+        if self.max_iter < 0:
+            raise DomainError("max_iter must be nonnegative")
         if self.boundary_mask is not None:
             vals = np.unique(self.boundary_mask.data)
             if not np.all(np.isin(vals, (0.0, 1.0))):
@@ -147,8 +144,9 @@ class InversionConfig:
     @classmethod
     def from_config(cls, path) -> "InversionConfig":
         """Settings from an inversion config.  `stepsize = constant(omega)`
-        and `stopping = manual(k)` also set `omega` and `manual_k`;
-        `mask_file` names the F64GRID scalar grid read as `boundary_mask`."""
+        also sets `omega`, `stopping = manual(k)` sets `max_iter = k` unless
+        the file gives a smaller one, and `mask_file` names the F64GRID
+        scalar grid read as `boundary_mask`."""
         cfg = read_config(path, "inversion", cls, {"mask_file": str})
         mask_file = cfg.pop("mask_file", None)
         m = re.fullmatch(r"constant\(([^)]+)\)", cfg.get("stepsize", ""))
@@ -160,7 +158,8 @@ class InversionConfig:
                                   f"got '{m.group(0)}'") from None
         m = re.fullmatch(r"manual\((\d+)\)", cfg.get("stopping", ""))
         if m:
-            cfg["stopping"], cfg["manual_k"] = "manual", int(m.group(1))
+            k = int(m.group(1))
+            cfg["stopping"], cfg["max_iter"] = "manual", min(k, cfg.get("max_iter", k))
         try:
             mask = None if mask_file is None else read_f64grid(mask_file, ScalarGrid)
         except FormatError as exc:
@@ -319,10 +318,11 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
     stiffness, preconditioned with the factorization of the extrapolated
     point (of the last one, for the final iterate), so each step costs one
     factorization.  With acceleration off this is exactly the plain
-    Landweber loop, with a factorization at every iterate.  If the stopping
-    rule does not trigger within max_iter, the best-so-far iterate
-    (smallest residual; heuristic argmin for heuristic stopping) is
-    returned and the trace is flagged 'max_iter'.
+    Landweber loop, with a factorization at every iterate.  Every rule
+    takes at most max_iter steps (0 evaluates only the start point); a run
+    the discrepancy principle did not stop returns the last iterate
+    (manual), the heuristic argmin (heuristic) or the smallest-residual
+    iterate with the trace flagged 'max_iter' (discrepancy).
     """
     nx, ny = udelta.nx, udelta.ny
     cfg.check_extents(nx, ny)
@@ -331,26 +331,24 @@ def nesterov_iterate(cfg: InversionConfig, udelta: VectorGrid,
 
     trace = IterationTrace()
     prev = cur = kept = (initial.lam.data.copy(), initial.mu.data.copy())
-    n_steps = min(cfg.manual_k if cfg.stopping == "manual" else cfg.max_iter,
-                  cfg.max_iter)
 
-    for k in range(n_steps + 1):
+    for k in range(cfg.max_iter + 1):
         # past the first step an accelerated run factorizes only the
         # extrapolated point, and the iterate's residual comes from CG
-        # preconditioned with that factor (at k = n, with the last step's)
+        # preconditioned with that factor (the final iterate uses the last one)
         near = cfg.acceleration and k >= 1
         bar = cur
-        if near and k < n_steps:
+        if near and k < cfg.max_iter:
             alpha = nesterov_alpha(k + 1)
             with np.errstate(over="ignore"):
                 bar = _project(cur[0] + alpha * (cur[0] - prev[0]),
                                cur[1] + alpha * (cur[1] - prev[1]))
             check_overflow("inversion extrapolation", *bar)
-        if not near or k < n_steps:
+        if not near or k < cfg.max_iter:
             factors = None  # dropped first: at most one factor is alive
             factors, u, r = _evaluate(model, bar, udelta.data)
         new, omega = cur, math.nan
-        if k < n_steps:
+        if k < cfg.max_iter:
             new, omega = _step(model, cfg, bar, factors, u, r)
         if near:
             u = factors.solve_forward(_lame(model, cur))

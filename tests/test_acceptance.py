@@ -190,7 +190,7 @@ def test_criterion_09_inversion_exact_data():
     mask = boundary_band_mask(100, 100, 6)
     cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
                           stepsize="steepest", stopping="manual",
-                          manual_k=100, max_iter=100, boundary_mask=mask)
+                          max_iter=100, boundary_mask=mask)
     rec, trace = nesterov_iterate(cfg, u_true, bc)
     interior = inclusion_interior_mask(spec)
     mu_t = lame.mu.data[interior].mean()
@@ -208,11 +208,11 @@ def test_criterion_09_inversion_exact_data():
 def test_criterion_10_inversion_estimated_data(inclusion_bundle):
     spec, lame, bc, u_true, _, _, _, u_est = inclusion_bundle
     mask = boundary_band_mask(spec.nx, spec.ny, 10)
-    # noisy data: early stopping regularizes; index fixed inside the <=100
-    # budget by residual monitoring, as in manual-stopping practice
+    # noisy data: early stopping regularizes; index fixed by residual
+    # monitoring, as in manual-stopping practice
     cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
                           stepsize="steepest", stopping="manual",
-                          manual_k=40, max_iter=100, boundary_mask=mask)
+                          max_iter=40, boundary_mask=mask)
     rec, trace = nesterov_iterate(cfg, u_est, bc)
     interior = inclusion_interior_mask(spec)
     mu_t = lame.mu.data[interior].mean()
@@ -237,7 +237,7 @@ def test_criterion_11_nesterov_degeneration():
         lame, bc, u_true, *_ = make_inclusion_phantom(spec)
         steps = 6
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=False,
-                              stopping="manual", manual_k=steps, max_iter=steps)
+                              stopping="manual", max_iter=steps)
         result, trace = nesterov_iterate(cfg, u_true, bc)
         p = cfg.initial_for(16, 16)
         for k in range(steps):

@@ -570,6 +570,47 @@ class TestSynth:
         assert (out1 / "samples.csv").read_text() == (out2 / "samples.csv").read_text()
 
 
+class TestManualStopping:
+    """`stopping = manual(k)` is the step budget k; a smaller `max_iter`
+    line caps it."""
+
+    @pytest.fixture
+    def phantom(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("kind = inclusion\nnx = 16\nny = 16\nbubble_count = 3\n"
+                        "bubble_sigma_min = 1.0\nbubble_sigma_max = 1.3\n"
+                        "compression_px = 2\ninclusion_radius = 3\nmargin = 3\n"
+                        "seed = 0\n")
+        out = tmp_path / "ph"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        return out
+
+    def invert(self, tmp_path, phantom, config):
+        """Run `invert` on the phantom's true field; the trace rows and
+        the recovered Lame directory."""
+        cfg, trace, rec = tmp_path / "inv.cfg", tmp_path / "trace.csv", tmp_path / "rec"
+        cfg.write_text(config)
+        assert main(["invert", "--data", str(phantom / "u_true.f64grid"),
+                     "--bc", str(phantom / "bc.cfg"), "--config", str(cfg),
+                     "--out", str(rec), "--trace", str(trace)]) == 0
+        return read_table(trace, "k,residual,stepsize,heuristic", [float] * 4), rec
+
+    @pytest.mark.parametrize("config, steps", [
+        ("stopping = manual(120)\n", 120),  # above the default max_iter
+        ("stopping = manual(12)\nmax_iter = 5\n", 5)],
+        ids=["manual-120", "max-iter-caps"])
+    def test_manual_k_runs_k_steps(self, tmp_path, phantom, config, steps):
+        rows, _ = self.invert(tmp_path, phantom, config)
+        assert [row[0] for row in rows] == list(range(steps + 1))
+
+    def test_manual_zero_returns_start_point(self, tmp_path, phantom):
+        rows, rec = self.invert(tmp_path, phantom,
+                                "lambda0 = 300\nmu0 = 7\nstopping = manual(0)\n")
+        assert len(rows) == 1
+        lame = read_lame_dir(rec)
+        assert np.all(lame.lam.data == 300.0) and np.all(lame.mu.data == 7.0)
+
+
 class TestPipeline:
     def test_end_to_end(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"

@@ -72,7 +72,7 @@ def count_factorizations(monkeypatch) -> list:
 class TestLandweberStep:
     def test_fixed_point_at_exact_data(self):
         lame, bc, u_true, *_ = small_phantom(1)
-        cfg = InversionConfig(stopping="manual", manual_k=1)
+        cfg = InversionConfig(stopping="manual", max_iter=1)
         p0 = LameField(ScalarGrid(lame.lam.nx, lame.lam.ny, lame.lam.data.copy()),
                        ScalarGrid(lame.mu.nx, lame.mu.ny, lame.mu.data.copy()))
         out, omega, rnorm = landweber_step(p0, u_true, bc, cfg)
@@ -83,7 +83,7 @@ class TestLandweberStep:
     def test_first_step_reduces_residual(self):
         lame, bc, u_true, *_ = small_phantom(2)
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, stopping="manual",
-                              manual_k=1, boundary_mask=None)
+                              max_iter=1, boundary_mask=None)
         p0 = cfg.initial_for(u_true.nx, u_true.ny)
         p1, omega, r0 = landweber_step(p0, u_true, bc, cfg)
         assert omega > 0
@@ -95,7 +95,7 @@ class TestLandweberStep:
         n = u_true.nx
         mask = boundary_band_mask(n, n, 3)
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, boundary_mask=mask,
-                              stopping="manual", manual_k=1)
+                              stopping="manual", max_iter=1)
         p = cfg.initial_for(n, n)
         frozen = mask.data.astype(bool)
         lam0 = p.lam.data.copy()
@@ -108,7 +108,7 @@ class TestLandweberStep:
     def test_iterates_stay_admissible(self):
         lame, bc, u_true, *_ = small_phantom(4)
         cfg = InversionConfig(lambda0=1.0, mu0=1.0, stepsize="constant",
-                              omega=50.0, stopping="manual", manual_k=1)
+                              omega=50.0, stopping="manual", max_iter=1)
         p = cfg.initial_for(u_true.nx, u_true.ny)
         for _ in range(5):
             p, _, _ = landweber_step(p, u_true, bc, cfg)
@@ -126,9 +126,9 @@ class TestNesterov:
         lame, bc, u_true, *_ = small_phantom(5)
         n = u_true.nx
         cfg_acc = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
-                                  stopping="manual", manual_k=1, max_iter=1)
+                                  stopping="manual", max_iter=1)
         cfg_plain = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=False,
-                                    stopping="manual", manual_k=1, max_iter=1)
+                                    stopping="manual", max_iter=1)
         r_acc, _ = nesterov_iterate(cfg_acc, u_true, bc)
         r_plain, _ = nesterov_iterate(cfg_plain, u_true, bc)
         np.testing.assert_array_equal(r_acc.lam.data, r_plain.lam.data)
@@ -140,8 +140,7 @@ class TestNesterov:
             n = u_true.nx
             steps = 6
             cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=False,
-                                  stopping="manual", manual_k=steps,
-                                  max_iter=steps)
+                                  stopping="manual", max_iter=steps)
             result, trace = nesterov_iterate(cfg, u_true, bc)
 
             p = cfg.initial_for(n, n)
@@ -167,7 +166,7 @@ class TestNesterov:
         lame, bc, u_true, *_ = make_inclusion_phantom(spec)
         calls = count_factorizations(monkeypatch)
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
-                              stopping="manual", manual_k=6)
+                              stopping="manual", max_iter=6)
         result, trace = nesterov_iterate(cfg, u_true, bc)
         ref = np.load(DATA / "nesterov_accelerated_16.npz")
         np.testing.assert_allclose(trace.residuals, ref["residuals"], rtol=1e-12)
@@ -188,7 +187,7 @@ class TestNesterov:
         lame, bc, u_true, *_ = small_phantom(seed, n=n)
         steps = 6
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
-                              stopping="manual", manual_k=steps, max_iter=steps)
+                              stopping="manual", max_iter=steps)
         result, trace = nesterov_iterate(cfg, u_true, bc)
         ref_res, ref_steps, p = reference_accelerated_run(cfg, u_true, bc, steps)
         np.testing.assert_allclose(trace.residuals, ref_res, rtol=1e-12)
@@ -200,7 +199,7 @@ class TestNesterov:
         lame, bc, u_true, *_ = small_phantom(30, n=16)
         steps = 6
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
-                              stopping="manual", manual_k=steps, max_iter=steps)
+                              stopping="manual", max_iter=steps)
         monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
         calls = count_factorizations(monkeypatch)
         result, trace = nesterov_iterate(cfg, u_true, bc)
@@ -218,7 +217,7 @@ class TestNesterov:
         lame, bc, u_true, *_ = small_phantom(seed, n=n)
         steps = 8
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
-                              stopping="manual", manual_k=steps, max_iter=steps)
+                              stopping="manual", max_iter=steps)
         calls = count_factorizations(monkeypatch)
         nesterov_iterate(cfg, u_true, bc)
         assert len(calls) == steps
@@ -228,7 +227,7 @@ class TestNesterov:
         for seed in range(5):
             lame, bc, u_true, *_ = small_phantom(seed + 20, n=16)
             cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=False,
-                                  stopping="manual", manual_k=50, max_iter=50)
+                                  stopping="manual", max_iter=50)
             _, trace = nesterov_iterate(cfg, u_true, bc)
             r = np.array(trace.residuals)
             assert np.all(r[1:] <= r[:-1] + 1e-9 * r[0])
@@ -337,8 +336,13 @@ class TestConfigAndTrace:
                         "stopping = manual(12)\nlambda0 = 490\nmu0 = 10\n")
         cfg = InversionConfig.from_config(path)
         assert cfg.stepsize == "constant" and cfg.omega == 2.5
-        assert cfg.stopping == "manual" and cfg.manual_k == 12
+        assert cfg.stopping == "manual" and cfg.max_iter == 12
         assert cfg.acceleration is True
+
+    def test_max_iter_zero_allowed_negative_rejected(self):
+        assert InversionConfig(stopping="discrepancy", max_iter=0).max_iter == 0
+        with pytest.raises(DomainError, match="^max_iter must be nonnegative$"):
+            InversionConfig(max_iter=-1)
 
     def test_mask_file_loaded_by_reader(self, tmp_path, monkeypatch):
         # mask_file is relative to the working directory, not to the config
@@ -418,6 +422,6 @@ class TestConfigAndTrace:
         lame, bc, u_true, *_ = small_phantom(8, n=16)
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, stepsize="printed",
                               acceleration=False, stopping="manual",
-                              manual_k=3, max_iter=3)
+                              max_iter=3)
         result, trace = nesterov_iterate(cfg, u_true, bc)
         assert trace.residuals[1] < trace.residuals[0]
