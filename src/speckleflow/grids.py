@@ -212,13 +212,20 @@ def bilinear_sample(arr: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
             + fx * fy * arr[y1, x1])
 
 
+def _resample(arr: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Bilinear resampling of `arr` to nx x ny on corner-aligned grids:
+    target pixel j samples the source at coordinate j * (n_src / n_dst)."""
+    gx, gy = np.meshgrid(np.arange(nx) * (arr.shape[1] / nx),
+                         np.arange(ny) * (arr.shape[0] / ny))
+    return bilinear_sample(arr, gx, gy)
+
+
 def downsample(g: ScalarGrid, eta: float, sigma0: float) -> ScalarGrid:
     """One pyramid level: Gaussian pre-smoothing, then bilinear resampling
     to round(eta * n) extents.
 
-    Target pixel j maps to source coordinate j * (n_src / n_dst), i.e. the
-    grids are corner-aligned and the coarse image at position eta*x samples
-    the smoothed fine image at x.
+    The grids are corner-aligned: the coarse image at position eta*x
+    samples the smoothed fine image at x.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError("eta must lie in (0, 1)")
@@ -227,10 +234,7 @@ def downsample(g: ScalarGrid, eta: float, sigma0: float) -> ScalarGrid:
     if mx < 2 or my < 2:
         raise GridTooSmall(f"downsampled extents {mx}x{my} are below 2x2")
     smoothed = gaussian_filter(Volume.from_array(g.data), pyramid_sigma(eta, sigma0))
-    xs = np.arange(mx) * (g.nx / mx)
-    ys = np.arange(my) * (g.ny / my)
-    gx, gy = np.meshgrid(xs, ys)
-    return ScalarGrid(mx, my, bilinear_sample(smoothed.data[0], gx, gy))
+    return ScalarGrid(mx, my, _resample(smoothed.data[0], mx, my))
 
 
 def prolong(u: VectorGrid, nx: int, ny: int, scale: float) -> VectorGrid:
@@ -242,10 +246,7 @@ def prolong(u: VectorGrid, nx: int, ny: int, scale: float) -> VectorGrid:
     """
     if nx < u.nx or ny < u.ny:
         raise DomainError("prolongation target must not be smaller than the source")
-    xs = np.arange(nx) * (u.nx / nx)
-    ys = np.arange(ny) * (u.ny / ny)
-    gx, gy = np.meshgrid(xs, ys)
-    return VectorGrid(nx, ny, scale * bilinear_sample(u.data, gx, gy))
+    return VectorGrid(nx, ny, scale * _resample(u.data, nx, ny))
 
 
 # ---------------------------------------------------------------------------
