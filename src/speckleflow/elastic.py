@@ -29,11 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import content_lines, finite_float, naming_path, write_lines
-from .errors import (DivisionByZero, DomainError, FormatError, NotConverged,
-                     ShapeMismatch, SingularSystem)
+from .errors import DivisionByZero, DomainError, FormatError, ShapeMismatch, SingularSystem
 from .grids import ScalarGrid, VectorGrid
-from .linsolve import (GridFactor, check_overflow, check_solution, grid_order,
-                       solve_near)
+from .linsolve import GridFactor, check_overflow, check_solution, grid_order, solve_spd
 
 __all__ = [
     "LameField",
@@ -295,22 +293,18 @@ class ElasticFactors:
         """Displacement for this factor's Lame field.
 
         Given a nearby Lame field p instead, returns p's displacement:
-        conjugate gradients on p's stiffness preconditioned with this
-        factor, or a fresh factorization of p (built while this one is
-        still alive) when CG gives up.
+        `solve_spd` on p's stiffness, assembled once, preconditioned with
+        this factor (p's own factorization, built while this one is still
+        alive, when conjugate gradients give up).
         """
         m = self.model
         if p is None:
-            system = self.system
-            x = self._lu.solve(system.rhs)
+            K_ff, rhs = self.system
+            x = self._lu.solve(rhs)
+            check_overflow("elastic solve", x)
+            check_solution(K_ff, x, rhs)
         else:
-            system = m.reduce(p)
-            try:
-                x = solve_near(system.K_ff, system.rhs, self._lu)
-            except NotConverged:
-                return m.factorize(p).solve_forward()
-        check_overflow("elastic solve", x)
-        check_solution(system.K_ff, x, system.rhs)
+            x = solve_spd(*m.reduce(p), "elastic solve", m.nx, m.ny, m.free, self._lu)
         u = m.lift.copy()
         u[m.free] += x
         return VectorGrid(m.nx, m.ny, u.reshape(m.ny, m.nx, 2))

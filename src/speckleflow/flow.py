@@ -32,7 +32,7 @@ from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from .grids import (ScalarGrid, VectorGrid, bilinear_sample, check_filter_width,
                     downsample, gaussian_profiles, prolong, pyramid_sigma,
                     spatial_gradient)
-from .linsolve import check_overflow, solve_grid
+from .linsolve import COARSEST_NODES, GridMultigrid, check_overflow, solve_spd
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -271,8 +271,11 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
                       constant=constant, translation=translation)
 
 
-def _solve_system(sys: FlowSystem) -> np.ndarray:
-    """`solve_grid` after the checks for overflowed and singular flow systems."""
+def solve_flow(sys: FlowSystem) -> VectorGrid:
+    """Solve the assembled system (`solve_spd`) as a displacement field;
+    `DomainError` if its matrix, right-hand side or solution overflowed,
+    `NotSPD` if it is singular (always if `translation` is, or if a
+    diagonal entry of the matrix is zero)."""
     # the translation block is half of A on uniform fields
     check_overflow("flow system matrix", sys.translation, sys.matrix.data)
     check_overflow("flow system right-hand side", sys.rhs)
@@ -282,16 +285,19 @@ def _solve_system(sys: FlowSystem) -> np.ndarray:
     # the matrix is PSD, so a diagonal entry <= 0 means a zero row
     if not np.all(sys.matrix.diagonal() > 0):
         raise NotSPD("flow system is singular: an unknown enters no term")
-    return solve_grid(sys.matrix, sys.rhs, sys.nx, sys.ny)
-
-
-def solve_flow(sys: FlowSystem) -> VectorGrid:
-    """Solve the assembled system and reshape to a displacement field;
-    `DomainError` if its matrix or right-hand side overflowed, `NotSPD` if
-    the system is singular (always if `translation` is, or if a diagonal
-    entry of the matrix is zero)."""
-    x = _solve_system(sys)
+    # solve_spd holds the only reference, and drops it before a factorization
+    x = solve_spd(sys.matrix, sys.rhs, "flow solve", sys.nx, sys.ny, near=_v_cycle(sys))
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
+
+
+def _v_cycle(sys: FlowSystem) -> GridMultigrid | None:
+    """The V-cycle of a system above `COARSEST_NODES` nodes, if it can be built."""
+    if sys.nx * sys.ny <= COARSEST_NODES:
+        return None
+    try:
+        return GridMultigrid(sys.matrix, sys.nx, sys.ny)
+    except NotSPD:
+        return None  # solve_spd factorizes the level
 
 
 def gradient(u: VectorGrid, gradI: VectorGrid, It: ScalarGrid, samples,
@@ -356,5 +362,5 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
                        _scaled_samples(samples, p.eta ** s), p)
         up_flat = up.ravel()
         corr_sys = replace(sys, rhs=sys.rhs - sys.matrix @ up_flat)
-        u = VectorGrid(a.nx, a.ny, up_flat + _solve_system(corr_sys))
+        u = VectorGrid(a.nx, a.ny, up_flat + solve_flow(corr_sys).data.ravel())
     return u

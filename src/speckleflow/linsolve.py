@@ -17,11 +17,12 @@ failed factorization, or a solution that `check_solution` rejects, means
 the matrix is not SPD after all, and raises `NotSPD`.  A factor that
 SuperLU cannot allocate raises `OutOfMemory`, which nothing retries.
 
-A factor also serves matrices near the one it was built from: `solve_near`
-runs conjugate gradients on such a matrix with the factor as the
-preconditioner, which takes a handful of iterations where a fresh
+The flow and the elasticity share one solve entry, `solve_spd`: conjugate
+gradients (`solve_near`) preconditioned with a V-cycle or with the factor
+of a nearby matrix, which takes a handful of iterations where a fresh
 factorization would cost far more (Knoll & Keyes 2004, "Jacobian-free
-Newton-Krylov methods", on reusing a stale factorization as preconditioner).
+Newton-Krylov methods", on reusing a stale factorization), and a
+factorization without one or when the iteration gives up.
 
 The work of a factorization grows as N^1.5 in the number of nodes.  On
 grids above `COARSEST_NODES` nodes, `GridMultigrid` is a preconditioner
@@ -49,7 +50,7 @@ from .errors import DomainError, NotConverged, NotSPD, OutOfMemory
 
 __all__ = ["COARSEST_NODES", "grid_order", "GridFactor", "GridMultigrid",
            "prolongation", "solve_near", "check_overflow", "check_solution",
-           "solve_grid"]
+           "solve_spd"]
 
 # regions at most this many nodes across are numbered row by row
 _LEAF = 2
@@ -329,18 +330,20 @@ def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
         raise NotSPD(f"relative residual {rnorm / scale:.2e} too large")
 
 
-def solve_grid(A: sp.spmatrix, b: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Solve the SPD system A x = b over the unknowns of an nx x ny grid to
-    machine precision: by conjugate gradients preconditioned with a V-cycle
-    above `COARSEST_NODES` nodes, by factorization below that and whenever
-    the V-cycle cannot be built or the iteration gives up."""
-    x = None
-    if nx * ny > COARSEST_NODES:
-        try:
-            x = solve_near(A, b, GridMultigrid(A, nx, ny))
-        except (NotConverged, NotSPD):
-            pass  # the factorization below decides
+def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
+              free: np.ndarray | None = None,
+              near: GridFactor | GridMultigrid | None = None) -> np.ndarray:
+    """Solve the SPD system A x = b over the unknowns of an nx x ny grid,
+    or over those in the mask `free` (as in `grid_order`), to machine
+    precision: by `solve_near` with `near`, and by a factorization when
+    `near` is None or `solve_near` gives up.  An x that overflows is a
+    `DomainError` naming `what`; then `check_solution` judges x."""
+    try:
+        x = None if near is None else solve_near(A, b, near)
+    except NotConverged:
+        x = near = None  # the factorization below decides, without near's memory
     if x is None:
-        x = GridFactor(A, grid_order(nx, ny)).solve(b)
+        x = GridFactor(A, grid_order(nx, ny, free)).solve(b)
+    check_overflow(what, x)
     check_solution(A, x, b)
     return x

@@ -99,6 +99,9 @@ class PhantomSpec:
             return cls(**cfg)
 
 
+_MAX_REJECTED = 5000  # rejected draws in a row after which placement gives up
+
+
 def _rng(spec: PhantomSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(spec.seed))
 
@@ -110,7 +113,9 @@ def _place_bubbles(spec: PhantomSpec, rng: np.random.Generator):
     Centers are drawn from a w x h box at least 3.8 sigma_min apart, so
     disks of radius r = 1.9 sigma_min around them are disjoint and lie in
     the box grown by r: a bubble_count whose disks cannot fit there is a
-    `SpecError` before any draw.
+    `SpecError` before any draw.  Placement jams below that bound (Feder
+    1980, "Random sequential adsorption"): it gives up after
+    `_MAX_REJECTED` rejected draws in a row, or 1000 per bubble in all.
     """
     lo_x, hi_x = spec.margin, spec.nx - 1 - spec.margin
     lo_y, hi_y = spec.margin, spec.ny - 1 - spec.margin
@@ -124,19 +129,21 @@ def _place_bubbles(spec: PhantomSpec, rng: np.random.Generator):
                         f"the margin leaves")
     centers = np.empty((spec.bubble_count, 2))
     sigmas = np.empty(spec.bubble_count)
-    placed = 0
-    attempts = 0
+    placed = attempts = rejected = 0
     max_attempts = 1000 * max(spec.bubble_count, 1)
     while placed < spec.bubble_count:
-        if attempts >= max_attempts:
-            raise SpecError("could not place bubbles with the required separation")
+        if attempts >= max_attempts or rejected >= _MAX_REJECTED:
+            raise SpecError(f"could not place bubbles with the required separation: "
+                            f"{placed} of {spec.bubble_count} placed")
         attempts += 1
         c = rng.uniform((lo_x, lo_y), (hi_x, hi_y))
         s = rng.uniform(spec.bubble_sigma_min, spec.bubble_sigma_max)
         if placed:
             d = np.linalg.norm(centers[:placed] - c, axis=1)
             if np.any(d < 1.9 * (sigmas[:placed] + s)):
+                rejected += 1
                 continue
+        rejected = 0
         centers[placed] = c
         sigmas[placed] = s
         placed += 1

@@ -10,6 +10,7 @@ from speckleflow.config import read_table
 from speckleflow.elastic import LameField, write_bc_config
 from speckleflow.grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
 from speckleflow.invert import boundary_band_mask
+from speckleflow.linsolve import GridFactor
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
 from speckleflow.speckle import read_samples_csv
 
@@ -493,6 +494,19 @@ class TestExitCodes:
                      "--bc", str(tmp_path / "bc.cfg"), "--config", str(tmp_path / "run.cfg"),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: elastic solve overflows the float64 range\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_flow_solve_overflow_is_named(self, tmp_path, capsys, monkeypatch):
+        # a solution that is not finite overflowed; it is not a failed SPD check
+        image = tmp_path / "i.f64grid"
+        write_f64grid(image, ScalarGrid(12, 10, np.random.default_rng(3).random((10, 12))))
+        (tmp_path / "flow.cfg").write_text("alpha = 1\n")
+        monkeypatch.setattr(GridFactor, "solve", lambda self, b: np.full_like(b, np.inf))
+        out = tmp_path / "u.f64grid"
+        assert main(["flow", "--i1", str(image), "--i2", str(image),
+                     "--config", str(tmp_path / "flow.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: flow solve overflows the float64 range\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, option, bad", [

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from speckleflow import linsolve
 from speckleflow.config import finite_float, read_table
@@ -57,15 +58,16 @@ def reference_accelerated_run(cfg, udelta, bc, steps):
     return residuals, stepsizes, p
 
 
-def count_factorizations(monkeypatch) -> list:
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap `owner.name` to record the arguments of each call; returns that list."""
     calls = []
-    factorize = ElasticModel.factorize
+    fn = getattr(owner, name)
 
-    def counted(self, p):
-        calls.append(p)
-        return factorize(self, p)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(ElasticModel, "factorize", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -164,7 +166,7 @@ class TestNesterov:
                            compression_px=2.0, inclusion_radius=3.0,
                            seed=0, margin=3)
         lame, bc, u_true, *_ = make_inclusion_phantom(spec)
-        calls = count_factorizations(monkeypatch)
+        calls = count_calls(monkeypatch, ElasticModel, "factorize")
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
                               stopping="manual", max_iter=6)
         result, trace = nesterov_iterate(cfg, u_true, bc)
@@ -201,10 +203,13 @@ class TestNesterov:
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
                               stopping="manual", max_iter=steps)
         monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
-        calls = count_factorizations(monkeypatch)
+        factors = count_calls(monkeypatch, spla, "splu")
+        assemblies = count_calls(monkeypatch, ElasticModel, "assemble")
         result, trace = nesterov_iterate(cfg, u_true, bc)
-        # every iterate past the first is factorized afresh, as without CG
-        assert len(calls) == 2 * steps
+        # every iterate past the first is factorized afresh, as without CG,
+        # from the stiffness its CG assembled: two assemblies per step
+        assert len(factors) == 2 * steps
+        assert len(assemblies) == 2 * steps
         ref_res, ref_steps, p = reference_accelerated_run(cfg, u_true, bc, steps)
         np.testing.assert_array_equal(trace.residuals, ref_res)
         np.testing.assert_array_equal(trace.stepsizes[:steps], ref_steps)
@@ -218,7 +223,7 @@ class TestNesterov:
         steps = 8
         cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=True,
                               stopping="manual", max_iter=steps)
-        calls = count_factorizations(monkeypatch)
+        calls = count_calls(monkeypatch, ElasticModel, "factorize")
         nesterov_iterate(cfg, u_true, bc)
         assert len(calls) == steps
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from speckleflow import linsolve
 from speckleflow.elastic import BoundaryConditions, ElasticModel, LameField, forward_solve
-from speckleflow.errors import NotConverged, NotSPD, OutOfMemory
+from speckleflow.errors import DomainError, NotConverged, NotSPD, OutOfMemory
 from speckleflow.flow import FlowParams, assemble, solve_flow
 from speckleflow.grids import ScalarGrid, VectorGrid, prolong
 from speckleflow.linsolve import GridFactor, GridMultigrid, grid_order, solve_near
@@ -265,6 +265,40 @@ def test_inaccurate_solves_are_not_spd(monkeypatch, path):
             forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
         else:
             solve_flow(flow_system(40, 30))
+
+
+
+@pytest.mark.parametrize("case, factorizations", [
+    ("without-near", 1), ("converging-near", 0), ("cg-at-cap", 1), ("overflow", 1)])
+def test_solve_spd_factorizes_only_when_cg_cannot_solve(monkeypatch, case, factorizations):
+    A, near, rng = stiffness_and_nearby_factor(0, 0.1)
+    free = ElasticModel(20, 20, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)])).free
+    b = rng.standard_normal(A.shape[0])
+    ref = GridFactor(A, grid_order(20, 20, free)).solve(b)
+    if case == "cg-at-cap":
+        monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
+    if case == "overflow":
+        monkeypatch.setattr(GridFactor, "solve", lambda self, b: np.full_like(b, np.inf))
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    solve = lambda: linsolve.solve_spd(A, b, "test solve", 20, 20, free,
+                                       None if case in ("without-near", "overflow") else near)
+    if case == "overflow":
+        with pytest.raises(DomainError, match="^test solve overflows the float64 range$"):
+            solve()
+    else:
+        x = solve()
+        if factorizations:
+            np.testing.assert_array_equal(x, ref)
+        else:
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert len(calls) == factorizations
 
 
 _RLIMIT_CHILD = """

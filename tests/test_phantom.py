@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speckleflow import phantom
 from speckleflow.elastic import LameField, forward_solve
 from speckleflow.errors import SpecError
 from speckleflow.grids import Volume, bilinear_sample
@@ -146,6 +147,30 @@ class TestInclusion:
         lame, *_ = make_inclusion_phantom(spec)
         assert lame.mu.data[32, 32] == 20.0
         assert lame.mu.data[5, 5] == 10.0
+
+    def test_jammed_placement_gives_up_before_the_total_cap(self, monkeypatch):
+        # 135 bubbles meet the area bound at 64x64, but random sequential
+        # placement jams far below it; the run of rejected draws ends it
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def uniform(self, *args):
+                self.calls += 1
+                return self.rng.uniform(*args)
+
+        rngs = []
+        make_rng = phantom._rng
+
+        def counting_rng(spec):
+            rngs.append(CountingRng(make_rng(spec)))
+            return rngs[-1]
+
+        monkeypatch.setattr(phantom, "_rng", counting_rng)
+        with pytest.raises(SpecError, match="could not place bubbles"):
+            make_inclusion_phantom(PhantomSpec(nx=64, ny=64, bubble_count=135))
+        # a draw is two calls (center and width); the cap is 1000 per bubble
+        assert len(rngs) == 1 and rngs[0].calls // 2 < 1000 * 135
 
     def test_inclusion_strictly_interior(self):
         spec = PhantomSpec(kind="inclusion", nx=40, ny=40, bubble_count=5,
