@@ -285,7 +285,8 @@ def solve_flow(sys: FlowSystem) -> VectorGrid:
     # the matrix is PSD, so a diagonal entry <= 0 means a zero row
     if not np.all(sys.matrix.diagonal() > 0):
         raise NotSPD("flow system is singular: an unknown enters no term")
-    # solve_spd holds the only reference, and drops it before a factorization
+    # passed inline, the V-cycle's only reference is solve_spd's, which drops
+    # it before a fallback factorization
     x = solve_spd(sys.matrix, sys.rhs, "flow solve", sys.nx, sys.ny, near=_v_cycle(sys))
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
 

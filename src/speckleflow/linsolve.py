@@ -341,7 +341,7 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
     try:
         x = None if near is None else solve_near(A, b, near)
     except NotConverged:
-        x = near = None  # the factorization below decides, without near's memory
+        x = near = None  # the factorization below decides, with near freed if unshared
     if x is None:
         x = GridFactor(A, grid_order(nx, ny, free)).solve(b)
     check_overflow(what, x)

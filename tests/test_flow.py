@@ -1,4 +1,5 @@
 import math
+import weakref
 import re
 from pathlib import Path
 
@@ -591,6 +592,28 @@ class TestMultigrid:
         assert len(cg_calls) == 1
         np.testing.assert_array_equal(
             x, GridFactor(sys.matrix, grid_order(64, 48)).solve(sys.rhs))
+
+    def test_v_cycle_is_freed_before_the_fallback_factorization(self, monkeypatch):
+        # at gamma = 50 every level of a 256^2 flow falls back, and a V-cycle
+        # kept alive there raised its peak RSS from 387 to 420 MB
+        sys = structured_system(64, 48, 1.0)
+        monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
+        cycles, alive = [], []
+        build, factorize = GridMultigrid.__init__, GridFactor.__init__
+
+        def tracked_build(self, *args):
+            build(self, *args)
+            cycles.append(weakref.ref(self))
+
+        def tracked_factorize(self, *args):
+            if cycles:  # not the V-cycle's own coarsest factor
+                alive.append(cycles[-1]() is not None)
+            factorize(self, *args)
+
+        monkeypatch.setattr(GridMultigrid, "__init__", tracked_build)
+        monkeypatch.setattr(GridFactor, "__init__", tracked_factorize)
+        solve_flow(sys)
+        assert alive == [False]
 
     @pytest.fixture
     def v_cycles(self, monkeypatch):

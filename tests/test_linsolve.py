@@ -267,7 +267,6 @@ def test_inaccurate_solves_are_not_spd(monkeypatch, path):
             solve_flow(flow_system(40, 30))
 
 
-
 @pytest.mark.parametrize("case, factorizations", [
     ("without-near", 1), ("converging-near", 0), ("cg-at-cap", 1), ("overflow", 1)])
 def test_solve_spd_factorizes_only_when_cg_cannot_solve(monkeypatch, case, factorizations):
