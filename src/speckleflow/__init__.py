@@ -20,8 +20,7 @@ from .flow import (FlowParams, FlowSystem, assemble, evaluate_functional,
                    gaussian_weight, gradient, multiscale_flow, solve_flow)
 from .grids import (ScalarGrid, VectorGrid, Volume, downsample,
                     gaussian_filter, normalize_intensity, prolong,
-                    pyramid_sigma, read_f64grid, spatial_gradient,
-                    temporal_difference, write_f64grid)
+                    pyramid_sigma, read_f64grid, spatial_gradient, write_f64grid)
 from .invert import (InversionConfig, IterationTrace, field_error,
                      landweber_step, nesterov_iterate, stop_heuristic)
 from .phantom import PhantomSpec, make_inclusion_phantom, make_moving_squares

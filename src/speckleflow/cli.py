@@ -27,6 +27,7 @@ from .elastic import (LameField, forward_solve, read_bc_config,
 from .errors import SpeckleFlowError
 from .grids import (ScalarGrid, VectorGrid, Volume, check_filter_width, read_f64grid,
                     write_f64grid)
+from .linsolve import check_overflow
 from .phantom import PhantomSpec, make_inclusion_phantom, make_moving_squares
 from .speckle import (read_samples_csv, run_tracking, tracking_config,
                       write_samples_csv)
@@ -144,8 +145,9 @@ def _cmd_invert(args):
     with naming_path(args.bc):
         bc.check_extents(udelta.nx, udelta.ny)
     lame, trace = invertmod.nesterov_iterate(cfg, udelta, bc)
+    young = young_modulus(lame)
     write_lame_dir(args.out, lame)
-    write_f64grid(Path(args.out) / "young.f64grid", young_modulus(lame))
+    write_f64grid(Path(args.out) / "young.f64grid", young)
     if args.trace:
         invertmod.write_trace_csv(args.trace, trace)
     return 0
@@ -159,12 +161,14 @@ def _cmd_eval(args):
     return 0
 
 
+@np.errstate(over="ignore")  # named below
 def _cmd_render(args):
     obj = read_f64grid(args.infile)
     out = Path(args.out)
     quiver = out.with_suffix(out.suffix + ".quiver.csv")
     if isinstance(obj, VectorGrid):
         mag = np.hypot(obj.data[:, :, 0], obj.data[:, :, 1])
+        check_overflow("displacement magnitude", mag)
         write_pgm(out, mag)
         step = max(1, min(obj.nx, obj.ny) // 16)
         lines = ["x,y,ux,uy"]

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import content_lines, finite_float, naming_path, write_lines
-from .errors import DivisionByZero, DomainError, FormatError, ShapeMismatch, SingularSystem
+from .errors import DomainError, FormatError, ShapeMismatch, SingularSystem
 from .grids import ScalarGrid, VectorGrid
 from .linsolve import GridFactor, check_overflow, check_solution, grid_order, solve_spd
 
@@ -304,7 +304,7 @@ class ElasticFactors:
             check_overflow("elastic solve", x)
             check_solution(K_ff, x, rhs)
         else:
-            x = solve_spd(*m.reduce(p), "elastic solve", m.nx, m.ny, m.free, self._lu)
+            x = solve_spd(*m.reduce(p), "elastic solve", m.nx, m.ny, m.order, self._lu)
         u = m.lift.copy()
         u[m.free] += x
         return VectorGrid(m.nx, m.ny, u.reshape(m.ny, m.nx, 2))
@@ -320,23 +320,17 @@ class ElasticFactors:
 
     # -- linearization -----------------------------------------------------
 
-    def parameter_stiffness_apply(self, dlam, dmu, u_flat) -> np.ndarray:
-        """K(dlam, dmu) @ u for a parameter direction (may be negative)."""
-        m = self.model
-        lam_e = m.cell_values(dlam)
-        mu_e = m.cell_values(dmu)
-        ue = u_flat[m.cell_dofs]
-        contrib = (lam_e[:, None] * (ue @ m.k_lam_e.T)
-                   + mu_e[:, None] * (ue @ m.k_mu_e.T))
-        out = np.zeros(2 * m.n_nodes)
-        np.add.at(out, m.cell_dofs.ravel(), contrib.ravel())
-        return out
-
     def derivative_apply(self, dlam: np.ndarray, dmu: np.ndarray,
                          u: VectorGrid) -> VectorGrid:
+        """Derivative w of u in the parameter direction (dlam, dmu), which may
+        be negative: K w = -K(dlam, dmu) u with w = 0 on the Dirichlet nodes."""
         m = self.model
-        rhs = -self.parameter_stiffness_apply(dlam, dmu, u.data.ravel())
-        w = self.solve_homogeneous(rhs)
+        ue = u.data.ravel()[m.cell_dofs]
+        contrib = (m.cell_values(dlam)[:, None] * (ue @ m.k_lam_e.T)
+                   + m.cell_values(dmu)[:, None] * (ue @ m.k_mu_e.T))
+        Ku = np.zeros(2 * m.n_nodes)
+        np.add.at(Ku, m.cell_dofs.ravel(), contrib.ravel())
+        w = self.solve_homogeneous(-Ku)
         return VectorGrid(m.nx, m.ny, w.reshape(m.ny, m.nx, 2))
 
     def derivative_adjoint(self, u: VectorGrid, w: VectorGrid):
@@ -388,14 +382,14 @@ def frechet_adjoint(p: LameField, u: VectorGrid, w: VectorGrid,
     return model.factorize(p).derivative_adjoint(u, w)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # named below
 def young_modulus(p: LameField) -> ScalarGrid:
-    """Young's modulus E = mu (3 lambda + 2 mu) / (lambda + mu)."""
-    lam = p.lam.data
-    mu = p.mu.data
-    denom = lam + mu
-    if np.any(denom == 0):
-        raise DivisionByZero("lambda + mu vanishes somewhere")
-    return ScalarGrid(p.lam.nx, p.lam.ny, mu * (3.0 * lam + 2.0 * mu) / denom)
+    """Young's modulus E = mu (3 lambda + 2 mu) / (lambda + mu), where a `LameField`
+    keeps lambda + mu >= MU_FLOOR; `DomainError` if E overflowed."""
+    lam, mu = p.lam.data, p.mu.data
+    E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
+    check_overflow("Young's modulus", E)
+    return ScalarGrid(p.lam.nx, p.lam.ny, E)
 
 
 # ---------------------------------------------------------------------------

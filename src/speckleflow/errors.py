@@ -50,10 +50,6 @@ class SpecError(SpeckleFlowError):
     """A phantom specification violates its geometric constraints."""
 
 
-class DivisionByZero(SpeckleFlowError):
-    """A pointwise formula would divide by zero."""
-
-
 class FormatError(SpeckleFlowError):
     """A file does not conform to its binary/text format.
 

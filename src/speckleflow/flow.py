@@ -112,17 +112,16 @@ class FlowParams:
 
 @dataclass
 class FlowSystem:
-    """Assembled sparse system A u = y with the constant term of the
-    quadratic expansion F(u) = u'Au/2 - y'u + const.  `translation`, half
-    of A on uniform fields, is sum_p grad I grad I' + beta sum_p W(p) I2; A
-    is singular whenever it is (and, with alpha > 0, only then)."""
+    """Assembled sparse system A u = y of the quadratic expansion
+    F(u) = u'Au/2 - y'u + F(0).  `translation`, half of A on uniform
+    fields, is sum_p grad I grad I' + beta sum_p W(p) I2; A is singular
+    whenever it is (and, with alpha > 0, only then)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     nx: int
     ny: int
     translation: np.ndarray
-    constant: float = 0.0
 
 
 def gaussian_weight(x, xhat, sigma: float) -> float:
@@ -238,14 +237,12 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
         bands[2 * nx] = np.repeat(-p.alpha * north[:, None], 2, axis=1)
     # summed from 0.0 as the sparse product G'It is, for the signs of zeros
     rhs = -(0.0 + g * it[:, None]).ravel()
-    constant = float(it @ it)
     translation = g.T @ g
 
     if p.beta > 0 and samples:
-        W, WU, wu2 = _sample_fields(nx, ny, samples, p.sigma_g)
+        W, WU, _ = _sample_fields(nx, ny, samples, p.sigma_g)
         bands[0] = bands[0] + p.beta * W.reshape(n, 1)
         rhs = rhs + p.beta * WU.ravel()
-        constant += p.beta * wu2
         translation = translation + p.beta * W.sum() * np.identity(2)
 
     if p.gamma > 0 and nx > 1 and ny > 1:
@@ -267,8 +264,7 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
     # the conversion to CSR drops exact zeros
     A = sp.diags(diagonals + diagonals[1:], offsets + [-k for k in offsets[1:]],
                  shape=(m, m), format="csr")
-    return FlowSystem(matrix=A, rhs=2.0 * rhs, nx=nx, ny=ny,
-                      constant=constant, translation=translation)
+    return FlowSystem(matrix=A, rhs=2.0 * rhs, nx=nx, ny=ny, translation=translation)
 
 
 def solve_flow(sys: FlowSystem) -> VectorGrid:

@@ -33,7 +33,6 @@ __all__ = [
     "downsample",
     "prolong",
     "spatial_gradient",
-    "temporal_difference",
     "bilinear_sample",
     "gaussian_profiles",
     "read_f64grid",
@@ -259,14 +258,6 @@ def spatial_gradient(g: ScalarGrid) -> VectorGrid:
         raise GridTooSmall(f"a gradient needs at least 2x2 pixels, got {g.nx}x{g.ny}")
     dy, dx = np.gradient(g.data)
     return VectorGrid(g.nx, g.ny, np.stack([dx, dy], axis=-1))
-
-
-def temporal_difference(i1: ScalarGrid, i2: ScalarGrid) -> ScalarGrid:
-    """Backward difference quotient between two frames: I2 - I1."""
-    if (i1.nx, i1.ny) != (i2.nx, i2.ny):
-        raise ShapeMismatch(
-            f"extent mismatch: {i1.nx}x{i1.ny} vs {i2.nx}x{i2.ny}")
-    return ScalarGrid(i1.nx, i1.ny, i2.data - i1.data)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .config import finite_float, naming_path, read_config, write_lines
 from .elastic import BoundaryConditions, ElasticModel, LameField, MU_FLOOR
 from .errors import DomainError, FormatError, ShapeMismatch
 from .grids import ScalarGrid, VectorGrid, read_f64grid
-from .linsolve import check_overflow
+from .linsolve import _norm, check_overflow
 
 __all__ = [
     "InversionConfig",
@@ -50,31 +50,39 @@ def field_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
+@np.errstate(over="ignore")  # inf; `IterationTrace.append` names it
 def field_norm(a: np.ndarray) -> float:
     return math.sqrt(field_inner(a, a))
 
 
-def field_error(u_est: VectorGrid, u_true: VectorGrid):
-    """Relative L2 errors (total, x component, y component).
+@np.errstate(over="ignore")  # handed to nrm2
+def _l2_norm(a: np.ndarray) -> float:
+    """numpy's L2 norm of a, or BLAS nrm2's (`linsolve._norm`, whose last
+    digits may differ) where numpy's sum of squares overflows or underflows."""
+    n = float(np.linalg.norm(a))
+    return n if np.finfo(float).tiny ** 0.5 <= n < math.inf else _norm(a.ravel())
 
+
+def field_error(u_est: VectorGrid, u_true: VectorGrid):
+    """Relative L2 errors (total, x component, y component), from norms that
+    neither overflow nor underflow (a ratio beyond the float64 range is inf).
     A component whose true field vanishes gets error inf (0 if the estimate
-    vanishes too); a vanishing total truth is a usage error.
-    """
+    vanishes too); a vanishing total truth is a usage error."""
     if (u_est.nx, u_est.ny) != (u_true.nx, u_true.ny):
         raise ShapeMismatch("field extents differ")
     diff = u_est.data - u_true.data
-    denom = np.linalg.norm(u_true.data)
+    denom = _l2_norm(u_true.data)
     if denom == 0:
         raise DomainError("true field has zero norm")
-    total = float(np.linalg.norm(diff) / denom)
+    total = _l2_norm(diff) / denom
     comps = []
     for c in range(2):
-        dc = np.linalg.norm(diff[:, :, c])
-        tc = np.linalg.norm(u_true.data[:, :, c])
+        dc = _l2_norm(diff[:, :, c])
+        tc = _l2_norm(u_true.data[:, :, c])
         if tc == 0:
             comps.append(0.0 if dc == 0 else math.inf)
         else:
-            comps.append(float(dc / tc))
+            comps.append(dc / tc)
     return total, comps[0], comps[1]
 
 
@@ -185,8 +193,7 @@ class IterationTrace:
     k_star: int | None = None
 
     def append(self, k, residual, stepsize):
-        if not math.isfinite(residual):
-            raise DomainError("residual norm must be finite")
+        check_overflow("inversion residual norm", residual)
         self.ks.append(int(k))
         self.residuals.append(float(residual))
         self.stepsizes.append(float(stepsize))

@@ -331,19 +331,20 @@ def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
 
 
 def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
-              free: np.ndarray | None = None,
+              perm: np.ndarray | None = None,
               near: GridFactor | GridMultigrid | None = None) -> np.ndarray:
-    """Solve the SPD system A x = b over the unknowns of an nx x ny grid,
-    or over those in the mask `free` (as in `grid_order`), to machine
-    precision: by `solve_near` with `near`, and by a factorization when
-    `near` is None or `solve_near` gives up.  An x that overflows is a
+    """Solve the SPD system A x = b over the unknowns of an nx x ny grid to
+    machine precision: by `solve_near` with `near`, and by a factorization
+    when `near` is None or `solve_near` gives up.  The factorization orders
+    A by `perm` (`grid_order` of a reduced matrix's free unknowns), or by
+    `grid_order(nx, ny)` when `perm` is None.  An x that overflows is a
     `DomainError` naming `what`; then `check_solution` judges x."""
     try:
         x = None if near is None else solve_near(A, b, near)
     except NotConverged:
         x = near = None  # the factorization below decides, with near freed if unshared
     if x is None:
-        x = GridFactor(A, grid_order(nx, ny, free)).solve(b)
+        x = GridFactor(A, grid_order(nx, ny) if perm is None else perm).solve(b)
     check_overflow(what, x)
     check_solution(A, x, b)
     return x

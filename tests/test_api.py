@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import speckleflow
+from speckleflow import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(speckleflow.__path__))
 
@@ -28,3 +29,15 @@ def test_package_exports_are_public_names_of_their_modules():
             if node.module is not None:
                 module = importlib.import_module(f"speckleflow.{node.module}")
                 assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # an error type that no module outside `errors` constructs is dead API
+    src = Path(speckleflow.__file__).parent
+    called = {node.func.id for path in src.glob("*.py") if path.name != "errors.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    types = [name for name, obj in vars(errors).items() if isinstance(obj, type)
+             and issubclass(obj, errors.SpeckleFlowError) and obj is not errors.SpeckleFlowError]
+    assert len(types) > 5
+    assert [name for name in types if name not in called] == []

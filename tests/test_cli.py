@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -30,6 +31,23 @@ class TestEval:
         write_f64grid(f, u)
         assert main(["eval", "--est", str(f), "--truth", str(f)]) == 0
         assert capsys.readouterr().out.strip() == "0,0,0"
+
+    @pytest.mark.parametrize("est, truth, error", [
+        (1e200, 1.0, 1e200), (1.0, 1e200, 1.0), (1.0, 1e-200, 1e200),
+        (1e300, 1e-300, math.inf)])
+    @pytest.mark.filterwarnings("error")
+    def test_norms_beyond_the_squares_range_are_exact(self, tmp_path, capsys, est, truth,
+                                                       error):
+        # the squares of these entries leave the float64 range; their norms do
+        # not, and only the last ratio does
+        for name, value in (("est", est), ("truth", truth)):
+            write_f64grid(tmp_path / f"{name}.f64grid", VectorGrid(8, 8, np.full((8, 8, 2), value)))
+        assert main(["eval", "--est", str(tmp_path / "est.f64grid"),
+                     "--truth", str(tmp_path / "truth.f64grid")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got = [float(v) for v in captured.out.strip().split(",")]
+        assert got == pytest.approx([error] * 3, rel=1e-12)
 
 
 def decode_pgm(path, w, h) -> np.ndarray:
@@ -69,6 +87,17 @@ class TestRender:
         back = decode_pgm(path, 9, 7) / 255.0
         scaled = (vals - vals.min()) / (vals.max() - vals.min())
         np.testing.assert_allclose(back, scaled, atol=0.5 / 255.0 + 1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_magnitude_is_named(self, tmp_path, capsys):
+        data = np.zeros((8, 8, 2))
+        data[3, 4] = 1.7e308
+        write_f64grid(tmp_path / "v.f64grid", VectorGrid(8, 8, data))
+        out = tmp_path / "v.pgm"
+        assert main(["render", "--in", str(tmp_path / "v.f64grid"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: displacement magnitude overflows the float64 range\n")
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -494,6 +523,26 @@ class TestExitCodes:
                      "--bc", str(tmp_path / "bc.cfg"), "--config", str(tmp_path / "run.cfg"),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: elastic solve overflows the float64 range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, config, message", [
+        # one step leaves mu near 1e199, where mu (3 lambda + 2 mu) overflows
+        (1.0, "stepsize = constant(1e200)\nstopping = manual(1)\n", "Young's modulus"),
+        # residuals near 1e155, whose squares overflow
+        (1e155, "stepsize = constant(1)\nstopping = manual(2)\n", "inversion residual norm"),
+    ], ids=["young", "residual-norm"])
+    @pytest.mark.filterwarnings("error")
+    def test_inversion_result_overflow_is_named(self, tmp_path, capsys, scale, config,
+                                                message):
+        data = scale * np.random.default_rng(5).random((16, 16, 2))
+        write_f64grid(tmp_path / "u.f64grid", VectorGrid(16, 16, data))
+        (tmp_path / "bc.cfg").write_text("dirichlet bottom both 0\ndirichlet top uy -1\n")
+        (tmp_path / "run.cfg").write_text(config)
+        out = tmp_path / "out"
+        assert main(["invert", "--data", str(tmp_path / "u.f64grid"),
+                     "--bc", str(tmp_path / "bc.cfg"), "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message} overflows the float64 range\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

@@ -13,11 +13,15 @@ from speckleflow.errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from speckleflow.flow import (FlowParams, _sample_fields, assemble,
                               evaluate_functional, gaussian_weight, gradient,
                               multiscale_flow, solve_flow)
-from speckleflow.grids import (ScalarGrid, VectorGrid, downsample, spatial_gradient,
-                              temporal_difference)
+from speckleflow.grids import ScalarGrid, VectorGrid, downsample, spatial_gradient
 from speckleflow.linsolve import (COARSEST_NODES, GridFactor, GridMultigrid, grid_order,
                                   solve_near)
 from speckleflow.speckle import DisplacementSample
+
+
+def frame_difference(i1, i2):
+    """The temporal term I2 - I1 of two frames."""
+    return ScalarGrid(i1.nx, i1.ny, i2.data - i1.data)
 
 
 def random_instance(seed, nx=8, ny=8, n_samples=2):
@@ -25,7 +29,7 @@ def random_instance(seed, nx=8, ny=8, n_samples=2):
     i1 = ScalarGrid(nx, ny, rng.random((ny, nx)))
     i2 = ScalarGrid(nx, ny, rng.random((ny, nx)))
     grad = spatial_gradient(i1)
-    it = temporal_difference(i1, i2)
+    it = frame_difference(i1, i2)
     samples = [DisplacementSample(position=rng.uniform(1, nx - 2, 2),
                                   displacement=rng.standard_normal(2))
                for _ in range(n_samples)]
@@ -111,14 +115,6 @@ class TestFunctionalAndAssembly:
         p = FlowParams(alpha=0.0, beta=2.0, sigma_g=3.0)
         assert evaluate_functional(u, grad, it, s, p) == pytest.approx(0.0, abs=1e-14)
 
-    def test_zero_field_reduces_to_constants(self):
-        grad, it, samples, _ = random_instance(0)
-        p = FlowParams(alpha=0.5, beta=1.5, sigma_g=2.0)
-        sys = assemble(grad, it, samples, p)
-        u0 = VectorGrid.zeros(8, 8)
-        assert evaluate_functional(u0, grad, it, samples, p) == pytest.approx(
-            sys.constant, rel=1e-12)
-
     def test_extent_mismatch_rejected(self):
         grad, it, samples, _ = random_instance(0)
         p = FlowParams(alpha=0.5, beta=1.0, sigma_g=2.0)
@@ -133,7 +129,8 @@ class TestFunctionalAndAssembly:
             sys = assemble(grad, it, samples, p)
             x = rng.standard_normal(2 * 64)
             u = VectorGrid(8, 8, x.reshape(8, 8, 2))
-            quad = 0.5 * x @ (sys.matrix @ x) - sys.rhs @ x + sys.constant
+            f0 = evaluate_functional(VectorGrid.zeros(8, 8), grad, it, samples, p)
+            quad = 0.5 * x @ (sys.matrix @ x) - sys.rhs @ x + f0
             fval = evaluate_functional(u, grad, it, samples, p)
             assert fval == pytest.approx(quad, rel=1e-10, abs=1e-10)
             assert fval >= 0.0
@@ -212,19 +209,17 @@ def assemble_from_operators(gradI, It, samples, p):
     Dy = sp.kron(dy, sp.identity(nx))
     H = G.T @ G + p.alpha * sp.kron(Dx.T @ Dx + Dy.T @ Dy, sp.identity(2))
     y = -(G.T @ it)
-    constant = float(it @ it)
     translation = g.T @ g
     if p.beta > 0 and samples:
-        W, WU, wu2 = _sample_fields(nx, ny, samples, p.sigma_g)
+        W, WU, _ = _sample_fields(nx, ny, samples, p.sigma_g)
         H = H + p.beta * sp.diags(np.repeat(W.ravel(), 2))
         y = y + p.beta * WU.ravel()
-        constant += p.beta * wu2
         translation = translation + p.beta * W.sum() * np.identity(2)
     if p.gamma > 0:
         div = (sp.kron(sp.eye(ny - 1, ny), dx) @ u1
                + sp.kron(dy, sp.eye(nx - 1, nx)) @ u2)
         H = H + p.gamma * (div.T @ div)
-    return sp.csr_matrix(2.0 * H), 2.0 * y, constant, translation
+    return sp.csr_matrix(2.0 * H), 2.0 * y, translation
 
 
 class TestBandAssembly:
@@ -235,7 +230,7 @@ class TestBandAssembly:
         i1 = rng.random((ny, nx)) if frames == "random" else np.full((ny, nx), 0.5)
         i2 = np.roll(i1, 1, axis=1) + 0.1 * rng.standard_normal((ny, nx))
         grad = spatial_gradient(ScalarGrid(nx, ny, i1))
-        it = temporal_difference(ScalarGrid(nx, ny, i1), ScalarGrid(nx, ny, i2))
+        it = frame_difference(ScalarGrid(nx, ny, i1), ScalarGrid(nx, ny, i2))
         samples = [DisplacementSample(position=rng.uniform(0, max(nx, ny) - 1, 2),
                                       displacement=rng.standard_normal(2))
                    for _ in range(3)]
@@ -246,7 +241,7 @@ class TestBandAssembly:
                         continue
                     p = FlowParams(alpha=alpha, beta=beta, gamma=gamma, sigma_g=1.5)
                     sys = assemble(grad, it, s, p)
-                    A, rhs, constant, translation = assemble_from_operators(grad, it, s, p)
+                    A, rhs, translation = assemble_from_operators(grad, it, s, p)
                     B = sys.matrix
                     assert B.has_canonical_format and np.all(B.data != 0)
                     assert np.array_equal(B.indptr, A.indptr)
@@ -254,7 +249,6 @@ class TestBandAssembly:
                     # bitwise, so that the signs of zeros count
                     assert np.array_equal(B.data.view(np.int64), A.data.view(np.int64))
                     assert np.array_equal(sys.rhs.view(np.int64), rhs.view(np.int64))
-                    assert np.array_equal(sys.constant, constant)
                     assert np.array_equal(sys.translation, translation)
 
 
@@ -277,7 +271,7 @@ class TestSolvers:
         i1 = ScalarGrid(nx, ny, ramp)
         i2 = ScalarGrid(nx, ny, ramp - d)
         grad = spatial_gradient(i1)
-        it = temporal_difference(i1, i2)
+        it = frame_difference(i1, i2)
         s = [DisplacementSample(position=np.array([8.0, 8.0]),
                                 displacement=np.array([d, 0.0]))]
         p = FlowParams(alpha=0.8, beta=1.0, sigma_g=3.0)
@@ -289,7 +283,7 @@ class TestSolvers:
         # no image gradient, no smoothness and no samples: the matrix is zero
         flat = ScalarGrid(10, 10, np.full((10, 10), 0.5))
         p = FlowParams(alpha=0.0, beta=1.0)
-        sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), [], p)
+        sys = assemble(spatial_gradient(flat), frame_difference(flat, flat), [], p)
         with pytest.raises(NotSPD):
             solve_flow(sys)
 
@@ -308,7 +302,7 @@ class TestSolvers:
         p = FlowParams(alpha=0.8, gamma=gamma, levels=levels)
         with pytest.raises(NotSPD):
             multiscale_flow(i1, i2, [], p)
-        sys = assemble(spatial_gradient(i1), temporal_difference(i1, i2), [], p)
+        sys = assemble(spatial_gradient(i1), frame_difference(i1, i2), [], p)
         with pytest.raises(NotSPD):
             solve_flow(sys)
         # one bubble sample pins the translation
@@ -325,7 +319,7 @@ class TestSolvers:
         s = [DisplacementSample(position=np.array([2.0, 4.0]),
                                 displacement=np.array([1.0, 0.0]))]
         p = FlowParams(alpha=0.0, beta=1.0, sigma_g=1.0)
-        sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), s, p)
+        sys = assemble(spatial_gradient(flat), frame_difference(flat, flat), s, p)
         assert np.linalg.matrix_rank(sys.translation) == 2
         assert np.count_nonzero(sys.matrix.diagonal() == 0) > 0
         with pytest.raises(NotSPD):
@@ -348,7 +342,7 @@ class TestSolvers:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match="flow system matrix overflows"):
                 multiscale_flow(i1, i2, s, p)
-            sys = assemble(spatial_gradient(i1), temporal_difference(i1, i2), s, p)
+            sys = assemble(spatial_gradient(i1), frame_difference(i1, i2), s, p)
             with pytest.raises(DomainError, match="flow system matrix overflows"):
                 solve_flow(sys)
 
@@ -417,7 +411,7 @@ class TestMultiscale:
         p = FlowParams(alpha=0.8, beta=1.0, sigma_g=2.0, levels=1)
         u_multi = multiscale_flow(i1, i2, samples, p)
         grad = spatial_gradient(i1)
-        it = temporal_difference(i1, i2)
+        it = frame_difference(i1, i2)
         u_single = solve_flow(assemble(grad, it, samples, p))
         np.testing.assert_array_equal(u_multi.data, u_single.data)
 
@@ -547,7 +541,7 @@ def structured_system(nx, ny, gamma, seed=0):
                                   displacement=rng.standard_normal(2))
                for _ in range(5)]
     p = FlowParams(alpha=0.8, beta=1.0, sigma_g=3.0, gamma=gamma)
-    return assemble(spatial_gradient(i1), temporal_difference(i1, i2), samples, p)
+    return assemble(spatial_gradient(i1), frame_difference(i1, i2), samples, p)
 
 
 class TestMultigrid:
@@ -659,7 +653,7 @@ class TestMultigrid:
 
         def verdict(nx, ny):
             flat = ScalarGrid(nx, ny, np.full((ny, nx), 0.5))
-            sys = assemble(spatial_gradient(flat), temporal_difference(flat, flat), s, p)
+            sys = assemble(spatial_gradient(flat), frame_difference(flat, flat), s, p)
             with pytest.raises(NotSPD) as info:
                 solve_flow(sys)
             return str(info.value)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speckleflow.errors import (ConstantField, DomainError, FormatError,
-                                GridTooSmall, ShapeMismatch)
+from speckleflow.errors import ConstantField, DomainError, FormatError, GridTooSmall
 from speckleflow.grids import (ScalarGrid, VectorGrid, Volume, bilinear_sample,
                                downsample, gaussian_filter, normalize_intensity,
                                prolong, pyramid_sigma, read_f64grid,
-                               spatial_gradient, temporal_difference, write_f64grid)
+                               spatial_gradient, write_f64grid)
 
 
 class TestContainers:
@@ -243,18 +242,6 @@ class TestDerivatives:
     def test_gradient_of_a_one_pixel_extent_rejected(self, nx, ny):
         with pytest.raises(GridTooSmall, match=f"got {nx}x{ny}"):
             spatial_gradient(ScalarGrid(nx, ny, np.zeros((ny, nx))))
-
-    def test_temporal_difference(self):
-        i1 = ScalarGrid(4, 3, np.zeros((3, 4)))
-        ramp = np.tile(np.arange(4.0), (3, 1))
-        i2 = ScalarGrid(4, 3, ramp)
-        np.testing.assert_array_equal(temporal_difference(i1, i2).data, ramp)
-        np.testing.assert_array_equal(temporal_difference(i2, i2).data, 0.0)
-
-    def test_extent_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            temporal_difference(ScalarGrid(3, 3, np.zeros((3, 3))),
-                                ScalarGrid(4, 3, np.zeros((3, 4))))
 
 
 class TestPurity:

@@ -205,11 +205,14 @@ class TestNesterov:
         monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
         factors = count_calls(monkeypatch, spla, "splu")
         assemblies = count_calls(monkeypatch, ElasticModel, "assemble")
+        orderings = count_calls(monkeypatch, linsolve, "grid_order")
         result, trace = nesterov_iterate(cfg, u_true, bc)
         # every iterate past the first is factorized afresh, as without CG,
-        # from the stiffness its CG assembled: two assemblies per step
+        # from the stiffness its CG assembled (two assemblies per step) and
+        # in the model's ordering
         assert len(factors) == 2 * steps
         assert len(assemblies) == 2 * steps
+        assert orderings == []
         ref_res, ref_steps, p = reference_accelerated_run(cfg, u_true, bc, steps)
         np.testing.assert_array_equal(trace.residuals, ref_res)
         np.testing.assert_array_equal(trace.stepsizes[:steps], ref_steps)

@@ -271,9 +271,9 @@ def test_inaccurate_solves_are_not_spd(monkeypatch, path):
     ("without-near", 1), ("converging-near", 0), ("cg-at-cap", 1), ("overflow", 1)])
 def test_solve_spd_factorizes_only_when_cg_cannot_solve(monkeypatch, case, factorizations):
     A, near, rng = stiffness_and_nearby_factor(0, 0.1)
-    free = ElasticModel(20, 20, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)])).free
+    perm = ElasticModel(20, 20, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)])).order
     b = rng.standard_normal(A.shape[0])
-    ref = GridFactor(A, grid_order(20, 20, free)).solve(b)
+    ref = GridFactor(A, perm).solve(b)
     if case == "cg-at-cap":
         monkeypatch.setattr(linsolve, "_CG_MAX_ITER", 0)
     if case == "overflow":
@@ -286,7 +286,7 @@ def test_solve_spd_factorizes_only_when_cg_cannot_solve(monkeypatch, case, facto
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    solve = lambda: linsolve.solve_spd(A, b, "test solve", 20, 20, free,
+    solve = lambda: linsolve.solve_spd(A, b, "test solve", 20, 20, perm,
                                        None if case in ("without-near", "overflow") else near)
     if case == "overflow":
         with pytest.raises(DomainError, match="^test solve overflows the float64 range$"):
