@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from .config import content_lines, finite_float, naming_path, write_lines
 from .errors import DomainError, FormatError, ShapeMismatch, SingularSystem
 from .grids import ScalarGrid, VectorGrid
-from .linsolve import GridFactor, check_overflow, check_solution, grid_order, solve_spd
+from .linsolve import check_overflow, grid_order, solve_spd
 
 __all__ = [
     "LameField",
@@ -275,18 +275,18 @@ class ElasticModel:
         return system
 
     def factorize(self, p: LameField) -> "ElasticFactors":
-        """Factorized stiffness of p."""
-        system = self.reduce(p)
-        return ElasticFactors(self, system, GridFactor(system.K_ff, self.order))
+        """Factorized stiffness of p, with p's displacement solved."""
+        return ElasticFactors(self, *solve_spd(*self.reduce(p), "elastic solve",
+                                               self.nx, self.ny, self.order))
 
 
 class ElasticFactors:
-    """Factorized stiffness for one Lame field; supports the forward solve
-    and any number of homogeneous-Dirichlet solves."""
+    """Factorized stiffness of one Lame field with its forward solution on
+    the free DOFs (`solve_spd`'s); supports any number of homogeneous solves."""
 
-    def __init__(self, model: ElasticModel, system: ReducedSystem, lu):
+    def __init__(self, model: ElasticModel, x: np.ndarray, lu):
         self.model = model
-        self.system = system
+        self.x = x
         self._lu = lu
 
     def solve_forward(self, p: LameField | None = None) -> VectorGrid:
@@ -298,13 +298,8 @@ class ElasticFactors:
         alive, when conjugate gradients give up).
         """
         m = self.model
-        if p is None:
-            K_ff, rhs = self.system
-            x = self._lu.solve(rhs)
-            check_overflow("elastic solve", x)
-            check_solution(K_ff, x, rhs)
-        else:
-            x = solve_spd(*m.reduce(p), "elastic solve", m.nx, m.ny, m.order, self._lu)
+        x = self.x if p is None else solve_spd(*m.reduce(p), "elastic solve", m.nx, m.ny,
+                                               m.order, self._lu)[0]
         u = m.lift.copy()
         u[m.free] += x
         return VectorGrid(m.nx, m.ny, u.reshape(m.ny, m.nx, 2))

@@ -283,7 +283,7 @@ def solve_flow(sys: FlowSystem) -> VectorGrid:
         raise NotSPD("flow system is singular: an unknown enters no term")
     # passed inline, the V-cycle's only reference is solve_spd's, which drops
     # it before a fallback factorization
-    x = solve_spd(sys.matrix, sys.rhs, "flow solve", sys.nx, sys.ny, near=_v_cycle(sys))
+    x = solve_spd(sys.matrix, sys.rhs, "flow solve", sys.nx, sys.ny, near=_v_cycle(sys))[0]
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
 
 

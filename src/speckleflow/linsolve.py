@@ -320,10 +320,8 @@ def check_overflow(what: str, *values) -> None:
 
 
 def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
-    """Accept x as the solution of A x = b, or raise `NotSPD` when x is not
-    finite or its relative residual exceeds the bound below."""
-    if not np.all(np.isfinite(x)):
-        raise NotSPD("sparse solve produced non-finite values")
+    """Accept x as the solution of A x = b, or raise `NotSPD` when its
+    relative residual exceeds the bound below (or is nan)."""
     rnorm = _norm(A @ x - b)
     scale = _norm(b)
     if not rnorm <= 1e-10 * scale:
@@ -331,20 +329,23 @@ def check_solution(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
 
 
 def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
-              perm: np.ndarray | None = None,
-              near: GridFactor | GridMultigrid | None = None) -> np.ndarray:
+              perm: np.ndarray | None = None, near: GridFactor | GridMultigrid | None = None
+              ) -> tuple[np.ndarray, GridFactor | None]:
     """Solve the SPD system A x = b over the unknowns of an nx x ny grid to
     machine precision: by `solve_near` with `near`, and by a factorization
     when `near` is None or `solve_near` gives up.  The factorization orders
     A by `perm` (`grid_order` of a reduced matrix's free unknowns), or by
     `grid_order(nx, ny)` when `perm` is None.  An x that overflows is a
-    `DomainError` naming `what`; then `check_solution` judges x."""
+    `DomainError` naming `what`; then `check_solution` judges x.  Returns
+    x and A's factor, or None when conjugate gradients solved it."""
     try:
         x = None if near is None else solve_near(A, b, near)
     except NotConverged:
         x = near = None  # the factorization below decides, with near freed if unshared
+    factor = None
     if x is None:
-        x = GridFactor(A, grid_order(nx, ny) if perm is None else perm).solve(b)
+        factor = GridFactor(A, grid_order(nx, ny) if perm is None else perm)
+        x = factor.solve(b)
     check_overflow(what, x)
     check_solution(A, x, b)
-    return x
+    return x, factor

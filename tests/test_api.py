@@ -41,3 +41,16 @@ def test_every_error_type_is_raised_in_the_package():
              and issubclass(obj, errors.SpeckleFlowError) and obj is not errors.SpeckleFlowError]
     assert len(types) > 5
     assert [name for name in types if name not in called] == []
+
+
+
+def test_only_linsolve_factorizes_solves_and_judges():
+    # one site builds a factor for a system it must solve, solves with it and
+    # checks the answer; no other module names the factor or the check
+    src = Path(speckleflow.__file__).parent
+    named = {(path.name, name) for path in src.glob("*.py") if path.name != "linsolve.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None))
+             if name in ("GridFactor", "check_solution")}
+    assert named == set()

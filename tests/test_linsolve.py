@@ -244,7 +244,8 @@ def test_check_solution_accepts_only_finite_accurate_solutions():
     x = GridFactor(A, grid_order(6, 5)).solve(b)
     linsolve.check_solution(A, x, b)
     linsolve.check_solution(A, np.zeros_like(b), np.zeros_like(b))
-    for bad, message in ((np.where(np.arange(x.size) == 3, np.nan, x), "non-finite"),
+    # a solution that is not finite leaves a nan residual
+    for bad, message in ((np.where(np.arange(x.size) == 3, np.nan, x), "relative residual nan"),
                          (x * (1 + 1e-6), "relative residual"),
                          (np.full_like(x, 1e100), "relative residual")):
         with pytest.raises(NotSPD, match=message):
@@ -292,7 +293,9 @@ def test_solve_spd_factorizes_only_when_cg_cannot_solve(monkeypatch, case, facto
         with pytest.raises(DomainError, match="^test solve overflows the float64 range$"):
             solve()
     else:
-        x = solve()
+        x, factor = solve()
+        # the factor is returned when solve_spd built one
+        assert (factor is None) == (factorizations == 0)
         if factorizations:
             np.testing.assert_array_equal(x, ref)
         else:
