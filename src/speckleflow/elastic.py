@@ -380,9 +380,14 @@ def frechet_adjoint(p: LameField, u: VectorGrid, w: VectorGrid,
 @np.errstate(over="ignore", invalid="ignore")  # named below
 def young_modulus(p: LameField) -> ScalarGrid:
     """Young's modulus E = mu (3 lambda + 2 mu) / (lambda + mu), where a `LameField`
-    keeps lambda + mu >= MU_FLOOR; `DomainError` if E overflowed."""
+    keeps lambda + mu >= MU_FLOOR; where that formula overflows, E = mu (2 +
+    lambda / (lambda + mu)) on halved parameters.  `DomainError` if E does."""
     lam, mu = p.lam.data, p.mu.data
     E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
+    big = ~np.isfinite(E)
+    if big.any():
+        half_lam, half_mu = 0.5 * lam[big], 0.5 * mu[big]
+        E[big] = mu[big] * (2.0 + half_lam / (half_lam + half_mu))
     check_overflow("Young's modulus", E)
     return ScalarGrid(p.lam.nx, p.lam.ny, E)
 

@@ -50,9 +50,12 @@ def field_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-@np.errstate(over="ignore")  # inf; `IterationTrace.append` names it
+@np.errstate(over="ignore")  # handed to nrm2
 def field_norm(a: np.ndarray) -> float:
-    return math.sqrt(field_inner(a, a))
+    """Root of the pixel sum of squares, or BLAS nrm2's (`linsolve._norm`) where
+    that sum overflows; inf only where the norm does (`IterationTrace` names it)."""
+    n = math.sqrt(field_inner(a, a))
+    return n if n < math.inf else _norm(a.ravel())
 
 
 @np.errstate(over="ignore")  # handed to nrm2
@@ -67,18 +70,26 @@ def field_error(u_est: VectorGrid, u_true: VectorGrid):
     """Relative L2 errors (total, x component, y component), from norms that
     neither overflow nor underflow (a ratio beyond the float64 range is inf).
     A component whose true field vanishes gets error inf (0 if the estimate
-    vanishes too); a vanishing total truth is a usage error."""
+    vanishes too); a vanishing total truth is a usage error.  Where the
+    difference overflows, both fields are first scaled by one power of two."""
     if (u_est.nx, u_est.ny) != (u_true.nx, u_true.ny):
         raise ShapeMismatch("field extents differ")
-    diff = u_est.data - u_true.data
-    denom = _l2_norm(u_true.data)
+    est, true = u_est.data, u_true.data
+    with np.errstate(over="ignore"):  # rescaled below
+        diff = est - true
+    if not np.all(np.isfinite(diff)):
+        # below 2^e in magnitude, both fields scale exactly into (-1, 1)
+        e = np.frexp(max(np.abs(est).max(), np.abs(true).max()))[1]
+        est, true = np.ldexp(est, -e), np.ldexp(true, -e)
+        diff = est - true
+    denom = _l2_norm(true)
     if denom == 0:
         raise DomainError("true field has zero norm")
     total = _l2_norm(diff) / denom
     comps = []
     for c in range(2):
         dc = _l2_norm(diff[:, :, c])
-        tc = _l2_norm(u_true.data[:, :, c])
+        tc = _l2_norm(true[:, :, c])
         if tc == 0:
             comps.append(0.0 if dc == 0 else math.inf)
         else:

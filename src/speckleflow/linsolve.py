@@ -336,8 +336,11 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
     when `near` is None or `solve_near` gives up.  The factorization orders
     A by `perm` (`grid_order` of a reduced matrix's free unknowns), or by
     `grid_order(nx, ny)` when `perm` is None.  An x that overflows is a
-    `DomainError` naming `what`; then `check_solution` judges x.  Returns
-    x and A's factor, or None when conjugate gradients solved it."""
+    `DomainError` naming `what`; then `check_solution` judges x.  A
+    factorized x that fails it takes one step of iterative refinement with
+    the same factor (Higham 2002, "Accuracy and Stability of Numerical
+    Algorithms", ch. 12) and is judged again.  Returns x and A's factor, or
+    None when conjugate gradients solved it."""
     try:
         x = None if near is None else solve_near(A, b, near)
     except NotConverged:
@@ -347,5 +350,13 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
         factor = GridFactor(A, grid_order(nx, ny) if perm is None else perm)
         x = factor.solve(b)
     check_overflow(what, x)
-    check_solution(A, x, b)
+    try:
+        check_solution(A, x, b)
+    except NotSPD:
+        if factor is None:
+            raise
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            x += factor.solve(b - A @ x)
+        check_overflow(what, x)
+        check_solution(A, x, b)
     return x, factor

@@ -50,6 +50,16 @@ class TestEval:
         assert got == pytest.approx([error] * 3, rel=1e-12)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_difference_beyond_the_float64_range_is_exact(self, tmp_path, capsys):
+        # est - truth = 3.4e308 leaves the float64 range; the relative error is 2
+        for name, value in (("est", 1.7e308), ("truth", -1.7e308)):
+            write_f64grid(tmp_path / f"{name}.f64grid", VectorGrid(8, 8, np.full((8, 8, 2), value)))
+        assert main(["eval", "--est", str(tmp_path / "est.f64grid"),
+                     "--truth", str(tmp_path / "truth.f64grid")]) == 0
+        assert capsys.readouterr() == ("2,2,2\n", "")
+
+
 def decode_pgm(path, w, h) -> np.ndarray:
     """The (h, w) bytes of an 8-bit binary PGM as `write_pgm` lays it out."""
     raw = path.read_bytes()
@@ -525,25 +535,57 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: elastic solve overflows the float64 range\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale, config, message", [
-        # one step leaves mu near 1e199, where mu (3 lambda + 2 mu) overflows
-        (1.0, "stepsize = constant(1e200)\nstopping = manual(1)\n", "Young's modulus"),
-        # residuals near 1e155, whose squares overflow
-        (1e155, "stepsize = constant(1)\nstopping = manual(2)\n", "inversion residual norm"),
-    ], ids=["young", "residual-norm"])
-    @pytest.mark.filterwarnings("error")
-    def test_inversion_result_overflow_is_named(self, tmp_path, capsys, scale, config,
-                                                message):
+    @staticmethod
+    def invert_random_data(tmp_path, scale, config):
+        """`invert` on scaled 16x16 random data, the bottom clamped and the top
+        pressed by one pixel; its exit code."""
         data = scale * np.random.default_rng(5).random((16, 16, 2))
         write_f64grid(tmp_path / "u.f64grid", VectorGrid(16, 16, data))
         (tmp_path / "bc.cfg").write_text("dirichlet bottom both 0\ndirichlet top uy -1\n")
         (tmp_path / "run.cfg").write_text(config)
-        out = tmp_path / "out"
-        assert main(["invert", "--data", str(tmp_path / "u.f64grid"),
+        return main(["invert", "--data", str(tmp_path / "u.f64grid"),
                      "--bc", str(tmp_path / "bc.cfg"), "--config", str(tmp_path / "run.cfg"),
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message} overflows the float64 range\n"
-        assert not out.exists()
+                     "--out", str(tmp_path / "out"), "--trace", str(tmp_path / "trace.csv")])
+
+    @pytest.mark.parametrize("scale, config, young_max, residuals", [
+        # one step leaves mu near 1e199, where mu (3 lambda + 2 mu) overflows but E fits
+        (1.0, "stepsize = constant(1e200)\nstopping = manual(1)\n", 3.16e199, None),
+        # residuals near 1e156, whose squares overflow but whose norms fit
+        (1e155, "stepsize = constant(1)\nstopping = manual(2)\n", None,
+         [1.2800818582725602e+156] * 3),
+    ], ids=["young", "residual-norm"])
+    @pytest.mark.filterwarnings("error")
+    def test_inversion_results_that_fit_are_written(self, tmp_path, capsys, scale, config,
+                                                    young_max, residuals):
+        assert self.invert_random_data(tmp_path, scale, config) == 0
+        assert capsys.readouterr() == ("", "")
+        young = read_f64grid(tmp_path / "out" / "young.f64grid").data
+        assert np.all(np.isfinite(young))
+        if young_max is not None:
+            assert young.max() == pytest.approx(young_max, rel=1e-3)
+        if residuals is not None:
+            rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+            assert [float(row.split(",")[1]) for row in rows] == residuals
+
+    @pytest.mark.filterwarnings("error")
+    def test_inversion_residual_norm_overflow_is_named(self, tmp_path, capsys):
+        # the start point's residual, near the data's 1.5e308 per entry, has a
+        # norm beyond the float64 range
+        assert self.invert_random_data(tmp_path, 1.5e308, "stopping = manual(0)\n") == 2
+        assert capsys.readouterr().err == ("error: inversion residual norm overflows "
+                                           "the float64 range\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_inaccurate_factor_solve_is_refined_once(self, tmp_path, capsys):
+        # the step leaves mu across about 155 orders of magnitude; the final
+        # iterate's factor solve has a relative residual of 5.67e-09, and one
+        # refinement step with the same factor passes the 1e-10 check
+        config = "stepsize = constant(1e150)\nstopping = manual(1)\n"
+        assert self.invert_random_data(tmp_path, 1.0, config) == 0
+        assert capsys.readouterr() == ("", "")
+        young = read_f64grid(tmp_path / "out" / "young.f64grid").data
+        assert young.max() == pytest.approx(3.16e149, rel=1e-3)
 
     @pytest.mark.filterwarnings("error")
     def test_flow_solve_overflow_is_named(self, tmp_path, capsys, monkeypatch):

@@ -310,9 +310,18 @@ class TestYoungModulus:
         p = LameField.constant(2, 2, lam, mu)
         assert young_modulus(p).data[0, 0] == pytest.approx(E, rel=1e-3)
 
+    @pytest.mark.parametrize("lam, mu, E", [
+        (1e200, 1e200, 2.5e200), (1.5e308, 0.5e308, 1.375e308)])
+    @pytest.mark.filterwarnings("error")
+    def test_every_modulus_that_fits_is_returned(self, lam, mu, E):
+        # mu (3 lambda + 2 mu), and in the second case lambda + mu, overflow
+        p = LameField.constant(2, 2, lam, mu)
+        np.testing.assert_allclose(young_modulus(p).data, E, rtol=1e-15)
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_named(self):
-        p = LameField.constant(2, 2, 1e200, 1e200)
+        # E = 2 mu = 2e308
+        p = LameField.constant(4, 4, 0.0, 1e308)
         with pytest.raises(DomainError, match="^Young's modulus overflows the float64 range$"):
             young_modulus(p)
 

@@ -255,17 +255,29 @@ def test_check_solution_accepts_only_finite_accurate_solutions():
         linsolve.check_solution(A, x, np.where(np.arange(b.size) == 3, np.nan, b))
 
 
+def solve_with_scaled_factor(monkeypatch, path, eps):
+    """An elastic or flow solve whose factor solves return (1 + eps) times
+    the exact solution; one refinement step leaves a relative error eps^2."""
+    solve = GridFactor.solve
+    monkeypatch.setattr(GridFactor, "solve", lambda self, b: solve(self, b) * (1 + eps))
+    if path == "elastic":
+        bc = BoundaryConditions(dirichlet=[("bottom", "both", 0.0)],
+                                traction=[("top", (0.3, -1.0))])
+        return forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc).data
+    return solve_flow(flow_system(40, 30)).data
+
+
 @pytest.mark.parametrize("path", ["elastic", "flow"])
 def test_inaccurate_solves_are_not_spd(monkeypatch, path):
-    solve = GridFactor.solve
-    monkeypatch.setattr(GridFactor, "solve", lambda self, b: solve(self, b) * (1 + 1e-6))
-    with pytest.raises(NotSPD, match="relative residual"):
-        if path == "elastic":
-            bc = BoundaryConditions(dirichlet=[("bottom", "both", 0.0)],
-                                    traction=[("top", (0.3, -1.0))])
-            forward_solve(LameField.constant(12, 10, 1.0, 1.0), bc)
-        else:
-            solve_flow(flow_system(40, 30))
+    with pytest.raises(NotSPD, match="^relative residual 1.00e-06 too large$"):
+        solve_with_scaled_factor(monkeypatch, path, 1e-3)
+
+
+@pytest.mark.parametrize("path", ["elastic", "flow"])
+def test_one_refinement_step_repairs_a_solve(monkeypatch, path):
+    exact = solve_with_scaled_factor(monkeypatch, path, 0.0)
+    repaired = solve_with_scaled_factor(monkeypatch, path, 1e-6)
+    np.testing.assert_allclose(repaired, exact, rtol=1e-11, atol=0)
 
 
 @pytest.mark.parametrize("case, factorizations", [
