@@ -13,16 +13,19 @@ halves, which bounds the fill of the factor.
 SuperLU then factorizes the pre-permuted matrix with the ordering kept as
 given and pivots on the diagonal.  Callers check that their matrices are
 SPD (the flow system's rank, the elastic boundary's rigid motions), so a
-failed factorization, or a solution that `check_solution` rejects, means
-the matrix is not SPD after all, and raises `NotSPD`.  A factor that
-SuperLU cannot allocate raises `OutOfMemory`, which nothing retries.
+failed factorization, or a solution that `check_solution` rejects even
+after one step of iterative refinement, means the matrix is not SPD after
+all, and raises `NotSPD`.  A factor that SuperLU cannot allocate raises
+`OutOfMemory`, which nothing retries.
 
 The flow and the elasticity share one solve entry, `solve_spd`: conjugate
 gradients (`solve_near`) preconditioned with a V-cycle or with the factor
 of a nearby matrix, which takes a handful of iterations where a fresh
 factorization would cost far more (Knoll & Keyes 2004, "Jacobian-free
 Newton-Krylov methods", on reusing a stale factorization), and a
-factorization without one or when the iteration gives up.
+factorization without one or when the iteration gives up.  It is the only
+code that factorizes a system it must solve, solves with that factor and
+judges the answer; it returns the factor for the caller's further solves.
 
 The work of a factorization grows as N^1.5 in the number of nodes.  On
 grids above `COARSEST_NODES` nodes, `GridMultigrid` is a preconditioner
