@@ -261,9 +261,10 @@ def assemble(gradI: VectorGrid, It: ScalarGrid, samples, p: FlowParams) -> FlowS
     m = 2 * n
     offsets = sorted(bands)
     diagonals = [bands[k].ravel()[:m - k] for k in offsets]
-    # the conversion to CSR drops exact zeros
+    # the conversion to CSR drops exact zeros, and leaves its arrays as views
+    # into buffers sized for every band entry; the copy keeps only the nonzeros
     A = sp.diags(diagonals + diagonals[1:], offsets + [-k for k in offsets[1:]],
-                 shape=(m, m), format="csr")
+                 shape=(m, m), format="csr").copy()
     return FlowSystem(matrix=A, rhs=2.0 * rhs, nx=nx, ny=ny, translation=translation)
 
 
@@ -358,6 +359,6 @@ def multiscale_flow(i1: ScalarGrid, i2: ScalarGrid, samples, p: FlowParams) -> V
         sys = assemble(grad_a, ScalarGrid(a.nx, a.ny, it_eff),
                        _scaled_samples(samples, p.eta ** s), p)
         up_flat = up.ravel()
-        corr_sys = replace(sys, rhs=sys.rhs - sys.matrix @ up_flat)
-        u = VectorGrid(a.nx, a.ny, up_flat + solve_flow(corr_sys).data.ravel())
+        sys = replace(sys, rhs=sys.rhs - sys.matrix @ up_flat)
+        u = VectorGrid(a.nx, a.ny, up_flat + solve_flow(sys).data.ravel())
     return u

@@ -40,6 +40,19 @@ only the coarsest one is factorized.  Each grid is smoothed by a Chebyshev
 polynomial in the 2x2 per-node block-Jacobi preconditioned matrix, the same
 polynomial before and after the coarse correction, so that the cycle is
 symmetric as conjugate gradients requires.
+
+The set-up allocates little beyond what it keeps.  D^-1 is written as CSR
+directly from the 2x2 block inverses.  D^-1 A, whose largest absolute row
+sum bounds the spectrum the smoother damps, and the Galerkin product
+R (A P) with R = P' are formed in blocks of rows that meet about
+`_BLOCK_BYTES` of the grid's matrix, each over the span of columns its rows
+reach.  A product's rows depend only on the same rows of its left factor,
+so every block sums the same terms in the same order as the whole product,
+and each level is bit for bit the one whole-matrix products give.
+Restriction is the transposed view `P.T`, whose CSC product sums each
+coarse entry over increasing fine indices as a CSR copy of P' would; no
+copy is stored.  The smoother, the cycle and `solve_near` update their
+vectors in place with the same floating-point operations.
 """
 
 from __future__ import annotations
@@ -79,6 +92,10 @@ COARSEST_NODES = 2048
 # 30 took 14 to 15, and degree 2 took 11 to 16 at its best ratio
 _CHEB_DEGREE = 3
 _CHEB_RATIO = 10.0
+# the set-up forms its products with a grid's matrix in blocks of rows that
+# meet about this many bytes of its entries, so that it never allocates a
+# whole product only to reduce or restrict it
+_BLOCK_BYTES = 1 << 21
 
 
 def _dissect(block: np.ndarray) -> list:
@@ -183,6 +200,45 @@ def prolongation(nx: int, ny: int) -> sp.csr_matrix:
                    format="csr")
 
 
+def _block_rows(A: sp.csr_matrix, n: int) -> int:
+    """Rows per block of a matrix of n rows whose blocks each meet about
+    `_BLOCK_BYTES` of the entries of A, which spans the same grid."""
+    return max(1, _BLOCK_BYTES * n // (A.data.nbytes + A.indices.nbytes))
+
+
+def _rows(M: sp.csr_matrix, r0: int, r1: int) -> tuple[sp.csr_matrix, int]:
+    """Rows r0:r1 of M over the span [c0, c1) of their columns, sharing M's
+    values, and c0.  A product with it has the rows of the product with
+    M[r0:r1], each column shifted by -c0, and sizes its scratch for c1 - c0
+    columns, not for all of M's."""
+    s, e = M.indptr[r0], M.indptr[r1]
+    cols = M.indices[s:e]
+    c0 = int(cols.min())
+    return sp.csr_matrix((M.data[s:e], cols - c0, M.indptr[r0:r1 + 1] - s),
+                         shape=(r1 - r0, int(cols.max()) + 1 - c0)), c0
+
+
+def _galerkin(A: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
+    """The coarse operator P'AP, with the same arrays as `R @ (A @ P)` for
+    R = `P.T.tocsr()`, formed in blocks of coarse rows: each block is
+    R[rows, c0:c1] @ (A[c0:c1, f0:f1] @ P[f0:f1]) over the spans of the rows
+    each factor reaches.  A product's rows depend only on the same rows of
+    its left factor, so each coarse row sums the same terms in the same
+    order."""
+    R = P.T.tocsr()
+    n = R.shape[0]
+    step = _block_rows(A, n)
+    blocks = []
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        Rb, c0 = _rows(R, r0, r1)
+        Ab, f0 = _rows(A, c0, c0 + Rb.shape[1])
+        Pb, p0 = _rows(P, f0, f0 + Ab.shape[1])
+        C = Rb @ (Ab @ Pb)
+        blocks.append(sp.csr_matrix((C.data, C.indices + p0, C.indptr), shape=(r1 - r0, n)))
+    return sp.vstack(blocks, format="csr")
+
+
 class _Level:
     """One grid of a V-cycle above the coarsest: its matrix, the
     prolongation from the next coarser grid and the smoother."""
@@ -190,42 +246,65 @@ class _Level:
     def __init__(self, A: sp.csr_matrix, nx: int, ny: int):
         self.A = A
         self.P = prolongation(nx, ny)
-        self.R = self.P.T.tocsr()
+        self.R = self.P.T  # a view, summing as a CSR copy would (module docstring)
         d = A.diagonal()
         a, c, b = d[0::2], d[1::2], A.diagonal(1)[0::2]
         det = a * c - b * b
         if not (np.all(a > 0) and np.all(det > 0)):
             raise NotSPD("a 2x2 diagonal block is not positive definite")
-        blocks = np.stack([c, -b, -b, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
         n = a.size
-        self.Dinv = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)),
-                                  shape=A.shape).tocsr()
-        # the infinity norm of D^-1 A bounds its largest eigenvalue
-        upper = float(abs(self.Dinv @ A).sum(axis=1).max())
+        # rows 2i and 2i + 1 of D^-1 hold node i's inverse block at columns 2i, 2i + 1
+        blocks = np.stack([c, -b, -b, a], axis=1) / det[:, None]
+        cols = np.repeat(np.arange(2 * n).reshape(n, 1, 2), 2, axis=1)
+        self.Dinv = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 4 * n + 1, 2)),
+                                  shape=A.shape)
+        # the infinity norm of D^-1 A bounds its largest eigenvalue; each
+        # block of rows sums its entries as the whole product would
+        m = 2 * n
+        step = _block_rows(A, m)
+        block_max = []
+        for r0 in range(0, m, step):
+            D, c0 = _rows(self.Dinv, r0, min(r0 + step, m))
+            block_max.append(abs(D @ _rows(A, c0, c0 + D.shape[1])[0]).sum(axis=1).max())
+        upper = float(np.max(block_max))
         lower = upper / _CHEB_RATIO
         self.theta = (upper + lower) / 2.0
         self.delta = (upper - lower) / 2.0
 
     def smooth(self, b: np.ndarray, x: np.ndarray | None) -> np.ndarray:
         """`_CHEB_DEGREE` steps of the Chebyshev iteration for A x = b,
-        preconditioned with the block diagonal D, from x (None is zero).
+        preconditioned with the block diagonal D, from x (None is zero),
+        which is updated in place.
 
         Saad (2003), "Iterative Methods for Sparse Linear Systems",
         Algorithm 12.1; the result is x + p(D^-1 A) D^-1 (b - A x) for a
         fixed polynomial p.
         """
-        r = b.copy() if x is None else b - self.A @ x
+        r = b.copy() if x is None else self.residual(b, x)
         sigma = self.theta / self.delta
         rho = 1.0 / sigma
-        d = (self.Dinv @ r) / self.theta
-        x = d.copy() if x is None else x + d
+        d = self.Dinv @ r
+        d /= self.theta
+        if x is None:
+            x = d.copy()
+        else:
+            x += d
         for _ in range(_CHEB_DEGREE - 1):
             r -= self.A @ d
             rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / self.delta) * (self.Dinv @ r)
+            t = self.Dinv @ r
+            t *= 2.0 * rho_next / self.delta
+            d *= rho_next * rho
+            d += t
             rho = rho_next
             x += d
         return x
+
+    def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """b - A x, in the array that A x allocates."""
+        r = self.A @ x
+        np.subtract(b, r, out=r)
+        return r
 
 
 class GridMultigrid:
@@ -244,7 +323,7 @@ class GridMultigrid:
         while nx * ny > COARSEST_NODES:
             level = _Level(A, nx, ny)
             self.levels.append(level)
-            A = (level.R @ (A @ level.P)).tocsr()
+            A = _galerkin(A, level.P)
             nx, ny = (nx + 1) // 2, (ny + 1) // 2
         self.coarsest = GridFactor(A, grid_order(nx, ny))
 
@@ -256,7 +335,7 @@ class GridMultigrid:
             return self.coarsest.solve(b)
         level = self.levels[k]
         x = level.smooth(b, None)
-        x += level.P @ self._cycle(k + 1, level.R @ (b - level.A @ x))
+        x += level.P @ self._cycle(k + 1, level.R @ level.residual(b, x))
         return level.smooth(b, x)
 
 
@@ -299,14 +378,20 @@ def solve_near(A: sp.spmatrix, b: np.ndarray,
                                residual=rnorm / bnorm)
         z = near.solve(r)
         rz_prev, rz = rz, r @ z
-        p = z if p is None else z + (rz / rz_prev) * p
+        if p is None:
+            p = z
+        else:
+            p *= rz / rz_prev
+            p += z
         q = A @ p
         pq = p @ q
         if not (np.isfinite(rz) and np.isfinite(pq)):
             raise NotConverged("preconditioned cg overflows the float64 range")
         step = rz / pq
         x += step * p
-        r -= step * q
+        q *= step
+        r -= q
+        del z, q  # not kept through the next preconditioner solve
     rnorm = _norm(r)
     if not rnorm <= tol:
         raise NotConverged(f"preconditioned cg hit the iteration cap ({_CG_MAX_ITER})",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 import re
 from pathlib import Path
@@ -244,6 +245,9 @@ class TestBandAssembly:
                     A, rhs, translation = assemble_from_operators(grad, it, s, p)
                     B = sys.matrix
                     assert B.has_canonical_format and np.all(B.data != 0)
+                    # no buffer holds more entries than the nonzeros
+                    for arr in (B.data, B.indices):
+                        assert (arr if arr.base is None else arr.base).size == B.nnz
                     assert np.array_equal(B.indptr, A.indptr)
                     assert np.array_equal(B.indices, A.indices)
                     # bitwise, so that the signs of zeros count
@@ -608,6 +612,18 @@ class TestMultigrid:
         monkeypatch.setattr(GridFactor, "__init__", tracked_factorize)
         solve_flow(sys)
         assert alive == [False]
+
+    def test_set_up_allocates_little_beyond_what_it_keeps(self):
+        A = structured_system(256, 256, 0.5).matrix
+        tracemalloc.start()
+        try:
+            mg = GridMultigrid(A, 256, 256)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mg.levels) == 3
+        # whole-matrix products made the transient twice the fine matrix
+        assert peak - kept <= A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
     @pytest.fixture
     def v_cycles(self, monkeypatch):

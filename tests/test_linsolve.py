@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +165,83 @@ def test_galerkin_operator_and_v_cycle_are_symmetric(gamma):
     Bx, By = mg.solve(x), mg.solve(y)
     assert abs(x @ By - y @ Bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
     assert x @ Bx > 0
+
+
+def whole_matrix_level(A, nx, ny):
+    """D^-1, theta, delta and the coarse operator of a V-cycle level, each
+    formed from whole-matrix products."""
+    P = linsolve.prolongation(nx, ny)
+    d = A.diagonal()
+    a, c, b = d[0::2], d[1::2], A.diagonal(1)[0::2]
+    blocks = np.stack([c, -b, -b, a], axis=1).reshape(-1, 2, 2) / (a * c - b * b)[:, None, None]
+    n = a.size
+    Dinv = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=A.shape).tocsr()
+    upper = float(abs(Dinv @ A).sum(axis=1).max())
+    lower = upper / linsolve._CHEB_RATIO
+    return Dinv, (upper + lower) / 2.0, (upper - lower) / 2.0, (P.T.tocsr() @ (A @ P)).tocsr()
+
+
+def assert_same_arrays(B, A):
+    assert np.array_equal(B.indptr, A.indptr)
+    assert np.array_equal(B.indices, A.indices)
+    assert np.array_equal(B.data.view(np.int64), A.data.view(np.int64))
+
+
+@pytest.mark.parametrize("block_bytes", [4096, 1 << 16])
+@pytest.mark.parametrize("nx, ny, levels", [(64, 48, 1), (47, 53, 1), (100, 90, 2),
+                                            (101, 91, 2)])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 20.0])
+def test_block_wise_set_up_matches_whole_matrix_products(monkeypatch, block_bytes, nx, ny,
+                                                         levels, gamma):
+    # small blocks, so that each product is split into many, some at odd rows
+    monkeypatch.setattr(linsolve, "_BLOCK_BYTES", block_bytes)
+    mg = GridMultigrid(flow_matrix(nx, ny, nx + ny, gamma), nx, ny)
+    assert len(mg.levels) == levels
+    rng = np.random.default_rng(nx)
+    for k, level in enumerate(mg.levels):
+        Dinv, theta, delta, Ac = whole_matrix_level(level.A, nx, ny)
+        assert_same_arrays(level.Dinv, Dinv)
+        assert (level.theta, level.delta) == (theta, delta)
+        assert_same_arrays(linsolve._galerkin(level.A, level.P), Ac)
+        if k + 1 < len(mg.levels):
+            assert_same_arrays(mg.levels[k + 1].A, Ac)
+        v = rng.standard_normal(level.P.shape[0])
+        assert np.array_equal((level.R @ v).view(np.int64),
+                              (level.P.T.tocsr() @ v).view(np.int64))
+        nx, ny = (nx + 1) // 2, (ny + 1) // 2
+
+
+def reference_cycle(mg, k, b):
+    """The V-cycle from level k as its formulas read, with fresh arrays."""
+    if k == len(mg.levels):
+        return mg.coarsest.solve(b)
+    level = mg.levels[k]
+
+    def smooth(x):
+        r = b.copy() if x is None else b - level.A @ x
+        sigma = level.theta / level.delta
+        rho = 1.0 / sigma
+        d = (level.Dinv @ r) / level.theta
+        x = d.copy() if x is None else x + d
+        for _ in range(linsolve._CHEB_DEGREE - 1):
+            r -= level.A @ d
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d = (rho_next * rho) * d + (2.0 * rho_next / level.delta) * (level.Dinv @ r)
+            rho = rho_next
+            x += d
+        return x
+
+    x = smooth(None)
+    x = x + level.P @ reference_cycle(mg, k + 1, level.P.T.tocsr() @ (b - level.A @ x))
+    return smooth(x)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 20.0])
+def test_in_place_v_cycle_matches_its_formulas(gamma):
+    mg = GridMultigrid(flow_matrix(100, 90, 3, gamma), 100, 90)
+    assert len(mg.levels) == 2
+    b = np.random.default_rng(4).standard_normal(2 * 100 * 90)
+    assert np.array_equal(mg.solve(b).view(np.int64), reference_cycle(mg, 0, b).view(np.int64))
 
 
 def test_v_cycle_rejects_an_indefinite_node_block():
