@@ -289,7 +289,9 @@ def solve_flow(sys: FlowSystem) -> VectorGrid:
 
 
 def _v_cycle(sys: FlowSystem) -> GridMultigrid | None:
-    """The V-cycle of a system above `COARSEST_NODES` nodes, if it can be built."""
+    """The V-cycle of a system above `COARSEST_NODES` nodes, or None when
+    `GridMultigrid` raises `NotSPD` (a diagonal entry that is not positive,
+    or an exactly singular coarsest matrix)."""
     if sys.nx * sys.ny <= COARSEST_NODES:
         return None
     try:

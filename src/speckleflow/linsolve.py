@@ -12,10 +12,12 @@ halves, which bounds the fill of the factor.
 
 SuperLU then factorizes the pre-permuted matrix with the ordering kept as
 given and pivots on the diagonal.  Callers check that their matrices are
-SPD (the flow system's rank, the elastic boundary's rigid motions), so a
+SPD (the flow system's rank, the elastic boundary's rigid motions).  A
 failed factorization, or a solution that `check_solution` rejects even
-after one step of iterative refinement, means the matrix is not SPD after
-all, and raises `NotSPD`.  A factor that SuperLU cannot allocate raises
+after one step of iterative refinement, raises `NotSPD`, as the README
+defines it.  That does not prove the matrix indefinite: an SPD stiffness
+whose entries span about 300 orders of magnitude can still meet an exactly
+zero pivot (ROADMAP item 3).  A factor that SuperLU cannot allocate raises
 `OutOfMemory`, which nothing retries.
 
 The flow and the elasticity share one solve entry, `solve_spd`: conjugate
@@ -37,22 +39,23 @@ at most `COARSEST_NODES` nodes; the transfer between two grids is the
 bilinear interpolation of `grids.prolong` (on even extents) on both
 unknowns of a node, each coarse matrix is the Galerkin product P'AP, and
 only the coarsest one is factorized.  Each grid is smoothed by a Chebyshev
-polynomial in the 2x2 per-node block-Jacobi preconditioned matrix, the same
-polynomial before and after the coarse correction, so that the cycle is
-symmetric as conjugate gradients requires.
+polynomial in D^-1 A, with D the diagonal of A (Adams, Brezina, Hu &
+Tuminaro 2003, "Parallel multigrid smoothing: polynomial versus
+Gauss-Seidel"), the same polynomial before and after the coarse
+correction, so that the cycle is symmetric as conjugate gradients requires.
 
-The set-up allocates little beyond what it keeps.  D^-1 is written as CSR
-directly from the 2x2 block inverses.  D^-1 A, whose largest absolute row
-sum bounds the spectrum the smoother damps, and the Galerkin product
-R (A P) with R = P' are formed in blocks of rows that meet about
-`_BLOCK_BYTES` of the grid's matrix, each over the span of columns its rows
-reach.  A product's rows depend only on the same rows of its left factor,
-so every block sums the same terms in the same order as the whole product,
-and each level is bit for bit the one whole-matrix products give.
-Restriction is the transposed view `P.T`, whose CSC product sums each
-coarse entry over increasing fine indices as a CSR copy of P' would; no
-copy is stored.  The smoother, the cycle and `solve_near` update their
-vectors in place with the same floating-point operations.
+The set-up allocates little beyond what it keeps.  D^-1 is kept as a
+vector, and the top of the spectrum the smoother damps is bounded by
+||D^-1 A||_inf, A's absolute row sums times D^-1, which takes no product.
+The Galerkin product R (A P) with R = P' is formed in blocks of rows that
+meet about `_BLOCK_BYTES` of the grid's matrix, each over the span of
+columns its rows reach.  A product's rows depend only on the same rows of
+its left factor, so every block sums the same terms in the same order as
+the whole product, and each level is bit for bit the one whole-matrix
+products give.  Restriction is the transposed view `P.T`, whose CSC
+product sums each coarse entry over increasing fine indices as a CSR copy
+of P' would; no copy is stored.  The smoother, the cycle and `solve_near`
+update their vectors in place with the same floating-point operations.
 """
 
 from __future__ import annotations
@@ -92,9 +95,9 @@ COARSEST_NODES = 2048
 # 30 took 14 to 15, and degree 2 took 11 to 16 at its best ratio
 _CHEB_DEGREE = 3
 _CHEB_RATIO = 10.0
-# the set-up forms its products with a grid's matrix in blocks of rows that
-# meet about this many bytes of its entries, so that it never allocates a
-# whole product only to reduce or restrict it
+# the set-up forms the Galerkin product in blocks of rows that meet about
+# this many bytes of the grid's matrix, so that it never allocates a whole
+# product only to restrict it
 _BLOCK_BYTES = 1 << 21
 
 
@@ -248,32 +251,20 @@ class _Level:
         self.P = prolongation(nx, ny)
         self.R = self.P.T  # a view, summing as a CSR copy would (module docstring)
         d = A.diagonal()
-        a, c, b = d[0::2], d[1::2], A.diagonal(1)[0::2]
-        det = a * c - b * b
-        if not (np.all(a > 0) and np.all(det > 0)):
-            raise NotSPD("a 2x2 diagonal block is not positive definite")
-        n = a.size
-        # rows 2i and 2i + 1 of D^-1 hold node i's inverse block at columns 2i, 2i + 1
-        blocks = np.stack([c, -b, -b, a], axis=1) / det[:, None]
-        cols = np.repeat(np.arange(2 * n).reshape(n, 1, 2), 2, axis=1)
-        self.Dinv = sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, 4 * n + 1, 2)),
-                                  shape=A.shape)
-        # the infinity norm of D^-1 A bounds its largest eigenvalue; each
-        # block of rows sums its entries as the whole product would
-        m = 2 * n
-        step = _block_rows(A, m)
-        block_max = []
-        for r0 in range(0, m, step):
-            D, c0 = _rows(self.Dinv, r0, min(r0 + step, m))
-            block_max.append(abs(D @ _rows(A, c0, c0 + D.shape[1])[0]).sum(axis=1).max())
-        upper = float(np.max(block_max))
+        if not np.all(d > 0):
+            raise NotSPD("a diagonal entry is not positive")
+        self.dinv = 1.0 / d
+        # the infinity norm of D^-1 A, A's absolute row sums times D^-1,
+        # bounds its largest eigenvalue; a positive diagonal leaves no row
+        # empty, which reduceat needs
+        upper = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) * self.dinv))
         lower = upper / _CHEB_RATIO
         self.theta = (upper + lower) / 2.0
         self.delta = (upper - lower) / 2.0
 
     def smooth(self, b: np.ndarray, x: np.ndarray | None) -> np.ndarray:
         """`_CHEB_DEGREE` steps of the Chebyshev iteration for A x = b,
-        preconditioned with the block diagonal D, from x (None is zero),
+        preconditioned with the diagonal D of A, from x (None is zero),
         which is updated in place.
 
         Saad (2003), "Iterative Methods for Sparse Linear Systems",
@@ -283,7 +274,7 @@ class _Level:
         r = b.copy() if x is None else self.residual(b, x)
         sigma = self.theta / self.delta
         rho = 1.0 / sigma
-        d = self.Dinv @ r
+        d = self.dinv * r
         d /= self.theta
         if x is None:
             x = d.copy()
@@ -292,7 +283,7 @@ class _Level:
         for _ in range(_CHEB_DEGREE - 1):
             r -= self.A @ d
             rho_next = 1.0 / (2.0 * sigma - rho)
-            t = self.Dinv @ r
+            t = self.dinv * r
             t *= 2.0 * rho_next / self.delta
             d *= rho_next * rho
             d += t
@@ -311,10 +302,12 @@ class GridMultigrid:
     """One V-cycle of geometric multigrid for an SPD matrix over the
     interleaved unknowns of an nx x ny grid, used as a preconditioner.
 
-    Raises `NotSPD` when a 2x2 diagonal block of a grid's matrix is not
-    positive definite or the coarsest matrix is exactly singular; the
-    matrix is then not SPD, or too close to singular for the cycle.  The
-    coarsest factor raises `OutOfMemory` as `GridFactor` does.
+    Raises `NotSPD` when a diagonal entry of a grid's matrix is not
+    positive or the coarsest matrix is exactly singular; the matrix is
+    then not SPD, or too close to singular for the cycle.  A matrix that is
+    not SPD yet has a positive diagonal builds a cycle, and `solve_spd`
+    judges the solution.  The coarsest factor raises `OutOfMemory` as
+    `GridFactor` does.
     """
 
     def __init__(self, A: sp.spmatrix, nx: int, ny: int):

@@ -647,6 +647,16 @@ class TestMultigrid:
         np.testing.assert_array_equal(
             x, GridFactor(sys.matrix, grid_order(64, 48)).solve(sys.rhs))
 
+    @pytest.mark.parametrize("nx, ny, gamma, ceiling", [(64, 48, 0.0, 9), (64, 48, 1.0, 11),
+                                                        (64, 48, 5.0, 19), (64, 48, 20.0, 42),
+                                                        (256, 256, 0.0, 9)])
+    def test_v_cycle_counts_do_not_rise(self, v_cycles, nx, ny, gamma, ceiling):
+        # the counts reached when these ceilings were set: a weaker smoother or a
+        # looser spectral bound raises them
+        sys = structured_system(nx, ny, gamma)
+        solve_near(sys.matrix, sys.rhs, GridMultigrid(sys.matrix, nx, ny))
+        assert len(v_cycles) <= ceiling
+
     def test_slow_cg_is_not_given_up(self, v_cycles):
         # gamma = 20 converges in about forty iterations, near the cap
         sys = structured_system(64, 48, 20.0)

@@ -168,17 +168,16 @@ def test_galerkin_operator_and_v_cycle_are_symmetric(gamma):
 
 
 def whole_matrix_level(A, nx, ny):
-    """D^-1, theta, delta and the coarse operator of a V-cycle level, each
-    formed from whole-matrix products."""
+    """The inverse diagonal, theta, delta and the coarse operator of a
+    V-cycle level, each formed from the whole matrix."""
     P = linsolve.prolongation(nx, ny)
-    d = A.diagonal()
-    a, c, b = d[0::2], d[1::2], A.diagonal(1)[0::2]
-    blocks = np.stack([c, -b, -b, a], axis=1).reshape(-1, 2, 2) / (a * c - b * b)[:, None, None]
-    n = a.size
-    Dinv = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=A.shape).tocsr()
-    upper = float(abs(Dinv @ A).sum(axis=1).max())
+    dinv = 1.0 / A.diagonal()
+    # |A| over A's own index arrays: `abs(A)` would sort a coarse level's
+    # indices in place, and with them the order of its row sums
+    absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    upper = float((absA.sum(axis=1).A1 * dinv).max())
     lower = upper / linsolve._CHEB_RATIO
-    return Dinv, (upper + lower) / 2.0, (upper - lower) / 2.0, (P.T.tocsr() @ (A @ P)).tocsr()
+    return dinv, (upper + lower) / 2.0, (upper - lower) / 2.0, (P.T.tocsr() @ (A @ P)).tocsr()
 
 
 def assert_same_arrays(B, A):
@@ -199,8 +198,8 @@ def test_block_wise_set_up_matches_whole_matrix_products(monkeypatch, block_byte
     assert len(mg.levels) == levels
     rng = np.random.default_rng(nx)
     for k, level in enumerate(mg.levels):
-        Dinv, theta, delta, Ac = whole_matrix_level(level.A, nx, ny)
-        assert_same_arrays(level.Dinv, Dinv)
+        dinv, theta, delta, Ac = whole_matrix_level(level.A, nx, ny)
+        assert np.array_equal(level.dinv.view(np.int64), dinv.view(np.int64))
         assert (level.theta, level.delta) == (theta, delta)
         assert_same_arrays(linsolve._galerkin(level.A, level.P), Ac)
         if k + 1 < len(mg.levels):
@@ -221,12 +220,12 @@ def reference_cycle(mg, k, b):
         r = b.copy() if x is None else b - level.A @ x
         sigma = level.theta / level.delta
         rho = 1.0 / sigma
-        d = (level.Dinv @ r) / level.theta
+        d = (level.dinv * r) / level.theta
         x = d.copy() if x is None else x + d
         for _ in range(linsolve._CHEB_DEGREE - 1):
             r -= level.A @ d
             rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / level.delta) * (level.Dinv @ r)
+            d = (rho_next * rho) * d + (2.0 * rho_next / level.delta) * (level.dinv * r)
             rho = rho_next
             x += d
         return x
@@ -244,11 +243,24 @@ def test_in_place_v_cycle_matches_its_formulas(gamma):
     assert np.array_equal(mg.solve(b).view(np.int64), reference_cycle(mg, 0, b).view(np.int64))
 
 
-def test_v_cycle_rejects_an_indefinite_node_block():
+@pytest.mark.parametrize("entry", [0.0, -1.0])
+def test_v_cycle_rejects_a_diagonal_entry_that_is_not_positive(entry):
+    A = flow_matrix(50, 50, 7).tolil()
+    A[11, 11] = entry
+    with pytest.raises(NotSPD, match="diagonal entry is not positive"):
+        GridMultigrid(A.tocsr(), 50, 50)
+
+
+def test_indefinite_node_block_is_judged_by_its_solution():
+    # the diagonal is positive, so the V-cycle builds; `solve_spd` judges
+    # what conjugate gradients make of it, as it would a factorization
     A = flow_matrix(50, 50, 7).tolil()
     A[10, 11] = A[11, 10] = 1.01 * np.sqrt(A[10, 10] * A[11, 11])
-    with pytest.raises(NotSPD, match="2x2 diagonal block"):
-        GridMultigrid(A.tocsr(), 50, 50)
+    A = A.tocsr()
+    b = np.random.default_rng(8).standard_normal(A.shape[0])
+    x, factor = linsolve.solve_spd(A, b, "test solve", 50, 50, near=GridMultigrid(A, 50, 50))
+    assert factor is None
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 
