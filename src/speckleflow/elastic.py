@@ -377,17 +377,15 @@ def frechet_adjoint(p: LameField, u: VectorGrid, w: VectorGrid,
     return model.factorize(p).derivative_adjoint(u, w)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # named below
+@np.errstate(over="ignore")  # named below
 def young_modulus(p: LameField) -> ScalarGrid:
-    """Young's modulus E = mu (3 lambda + 2 mu) / (lambda + mu), where a `LameField`
-    keeps lambda + mu >= MU_FLOOR; where that formula overflows, E = mu (2 +
-    lambda / (lambda + mu)) on halved parameters.  `DomainError` if E does."""
+    """Young's modulus E = mu (3 lambda + 2 mu) / (lambda + mu), computed as
+    mu (2 + lambda / (lambda + mu)) on halved parameters, whose intermediates
+    cannot overflow: a `LameField` keeps lambda >= 0 and mu >= MU_FLOOR, so
+    E lies in [2 mu, 3 mu).  `DomainError` if E itself does not fit."""
     lam, mu = p.lam.data, p.mu.data
-    E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
-    big = ~np.isfinite(E)
-    if big.any():
-        half_lam, half_mu = 0.5 * lam[big], 0.5 * mu[big]
-        E[big] = mu[big] * (2.0 + half_lam / (half_lam + half_mu))
+    half_lam, half_mu = 0.5 * lam, 0.5 * mu
+    E = mu * (2.0 + half_lam / (half_lam + half_mu))
     check_overflow("Young's modulus", E)
     return ScalarGrid(p.lam.nx, p.lam.ny, E)
 

@@ -50,20 +50,11 @@ def field_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-@np.errstate(over="ignore")  # handed to nrm2
 def field_norm(a: np.ndarray) -> float:
-    """Root of the pixel sum of squares, or BLAS nrm2's (`linsolve._norm`) where
-    that sum overflows; inf only where the norm does (`IterationTrace` names it)."""
-    n = math.sqrt(field_inner(a, a))
-    return n if n < math.inf else _norm(a.ravel())
-
-
-@np.errstate(over="ignore")  # handed to nrm2
-def _l2_norm(a: np.ndarray) -> float:
-    """numpy's L2 norm of a, or BLAS nrm2's (`linsolve._norm`, whose last
-    digits may differ) where numpy's sum of squares overflows or underflows."""
-    n = float(np.linalg.norm(a))
-    return n if np.finfo(float).tiny ** 0.5 <= n < math.inf else _norm(a.ravel())
+    """Root of the pixel sum of squares, by BLAS nrm2 (`linsolve._norm`), which
+    scales as it sums: inf only where the norm itself is (`IterationTrace`
+    names it), and nonzero for any nonzero field."""
+    return _norm(a.ravel())
 
 
 def field_error(u_est: VectorGrid, u_true: VectorGrid):
@@ -82,14 +73,14 @@ def field_error(u_est: VectorGrid, u_true: VectorGrid):
         e = np.frexp(max(np.abs(est).max(), np.abs(true).max()))[1]
         est, true = np.ldexp(est, -e), np.ldexp(true, -e)
         diff = est - true
-    denom = _l2_norm(true)
+    denom = field_norm(true)
     if denom == 0:
         raise DomainError("true field has zero norm")
-    total = _l2_norm(diff) / denom
+    total = field_norm(diff) / denom
     comps = []
     for c in range(2):
-        dc = _l2_norm(diff[:, :, c])
-        tc = _l2_norm(true[:, :, c])
+        dc = field_norm(diff[:, :, c])
+        tc = field_norm(true[:, :, c])
         if tc == 0:
             comps.append(0.0 if dc == 0 else math.inf)
         else:

@@ -182,6 +182,7 @@ def test_criterion_08_adjoint_test():
            f"adjoint identity at 32x32, 20 trials, worst = {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_09_inversion_exact_data():
     spec = PhantomSpec(kind="inclusion", nx=100, ny=100, bubble_count=50,
                        compression_px=10.0, inclusion_radius=15.0,
@@ -205,6 +206,7 @@ def test_criterion_09_inversion_exact_data():
                   f"bounds 20%")
 
 
+@pytest.mark.slow
 def test_criterion_10_inversion_estimated_data(inclusion_bundle):
     spec, lame, bc, u_true, _, _, _, u_est = inclusion_bundle
     mask = boundary_band_mask(spec.nx, spec.ny, 10)

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from speckleflow.elastic import (BoundaryConditions, ElasticModel, LameField,
+from speckleflow.elastic import (BoundaryConditions, ElasticModel, LameField, MU_FLOOR,
                                  forward_solve, frechet_adjoint, frechet_apply,
                                  read_bc_config, write_bc_config, young_modulus)
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch, SingularSystem
@@ -317,6 +318,12 @@ class TestYoungModulus:
         # mu (3 lambda + 2 mu), and in the second case lambda + mu, overflow
         p = LameField.constant(2, 2, lam, mu)
         np.testing.assert_allclose(young_modulus(p).data, E, rtol=1e-15)
+
+    @given(lam=st.floats(0.0, 1e6), mu=st.floats(MU_FLOOR, 1e6))
+    def test_agrees_with_the_textbook_formula(self, lam, mu):
+        E = young_modulus(LameField.constant(1, 1, lam, mu)).data[0, 0]
+        textbook = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
+        assert abs(E - textbook) <= 4 * np.spacing(textbook)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_named(self):

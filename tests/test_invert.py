@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
 from speckleflow import linsolve
 from speckleflow.config import finite_float, read_table
@@ -11,7 +12,7 @@ from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR, forward_solve
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch
 from speckleflow.grids import ScalarGrid, VectorGrid, write_f64grid
 from speckleflow.invert import (InversionConfig, IterationTrace,
-                                boundary_band_mask, field_error, field_norm,
+                                boundary_band_mask, field_error, field_inner, field_norm,
                                 landweber_step, nesterov_alpha, nesterov_iterate,
                                 stop_heuristic, write_trace_csv)
 from speckleflow.phantom import PhantomSpec, make_inclusion_phantom
@@ -317,6 +318,19 @@ class TestFieldError:
                                     rel=1e-12)
         assert ex == pytest.approx(np.linalg.norm(d[:, :, 0])
                                    / np.linalg.norm(b.data[:, :, 0]), rel=1e-12)
+
+    @settings(deadline=None)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(-150, 150))
+    @example(nx=3, ny=2, seed=0, k=-150)
+    @example(nx=3, ny=2, seed=0, k=150)
+    def test_norm_is_the_root_of_the_pixel_sum(self, nx, ny, seed, k):
+        # the squares stay inside the float64 range, so the plain sum is exact
+        # enough to compare with
+        a = np.random.default_rng(seed).standard_normal((ny, nx, 2)) * 10.0 ** k
+        n = field_norm(a)
+        assert 0 < n < math.inf
+        assert n == pytest.approx(math.sqrt(field_inner(a, a)), rel=1e-14)
 
     def test_zero_truth_rejected(self):
         u = VectorGrid.zeros(3, 3)
