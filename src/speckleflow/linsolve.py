@@ -47,15 +47,14 @@ correction, so that the cycle is symmetric as conjugate gradients requires.
 The set-up allocates little beyond what it keeps.  D^-1 is kept as a
 vector, and the top of the spectrum the smoother damps is bounded by
 ||D^-1 A||_inf, A's absolute row sums times D^-1, which takes no product.
-The Galerkin product R (A P) with R = P' is formed in blocks of rows that
-meet about `_BLOCK_BYTES` of the grid's matrix, each over the span of
-columns its rows reach.  A product's rows depend only on the same rows of
-its left factor, so every block sums the same terms in the same order as
-the whole product, and each level is bit for bit the one whole-matrix
-products give.  Restriction is the transposed view `P.T`, whose CSC
-product sums each coarse entry over increasing fine indices as a CSR copy
-of P' would; no copy is stored.  The smoother, the cycle and `solve_near`
-update their vectors in place with the same floating-point operations.
+The Galerkin product is formed left to right, (P'A) P, with a CSR copy of
+P' that is freed before the second product.  That keeps the set-up's
+transient below the fine matrix's bytes, which P'(AP) does not: it holds
+P', AP and the coarse matrix at once.  Restriction is the transposed view
+`P.T`, whose CSC product sums each coarse entry over increasing fine
+indices as a CSR copy of P' would; no copy is stored.  The smoother, the
+cycle and `solve_near` update their vectors in place with the same
+floating-point operations.
 """
 
 from __future__ import annotations
@@ -95,10 +94,6 @@ COARSEST_NODES = 2048
 # 30 took 14 to 15, and degree 2 took 11 to 16 at its best ratio
 _CHEB_DEGREE = 3
 _CHEB_RATIO = 10.0
-# the set-up forms the Galerkin product in blocks of rows that meet about
-# this many bytes of the grid's matrix, so that it never allocates a whole
-# product only to restrict it
-_BLOCK_BYTES = 1 << 21
 
 
 def _dissect(block: np.ndarray) -> list:
@@ -203,45 +198,6 @@ def prolongation(nx: int, ny: int) -> sp.csr_matrix:
                    format="csr")
 
 
-def _block_rows(A: sp.csr_matrix, n: int) -> int:
-    """Rows per block of a matrix of n rows whose blocks each meet about
-    `_BLOCK_BYTES` of the entries of A, which spans the same grid."""
-    return max(1, _BLOCK_BYTES * n // (A.data.nbytes + A.indices.nbytes))
-
-
-def _rows(M: sp.csr_matrix, r0: int, r1: int) -> tuple[sp.csr_matrix, int]:
-    """Rows r0:r1 of M over the span [c0, c1) of their columns, sharing M's
-    values, and c0.  A product with it has the rows of the product with
-    M[r0:r1], each column shifted by -c0, and sizes its scratch for c1 - c0
-    columns, not for all of M's."""
-    s, e = M.indptr[r0], M.indptr[r1]
-    cols = M.indices[s:e]
-    c0 = int(cols.min())
-    return sp.csr_matrix((M.data[s:e], cols - c0, M.indptr[r0:r1 + 1] - s),
-                         shape=(r1 - r0, int(cols.max()) + 1 - c0)), c0
-
-
-def _galerkin(A: sp.csr_matrix, P: sp.csr_matrix) -> sp.csr_matrix:
-    """The coarse operator P'AP, with the same arrays as `R @ (A @ P)` for
-    R = `P.T.tocsr()`, formed in blocks of coarse rows: each block is
-    R[rows, c0:c1] @ (A[c0:c1, f0:f1] @ P[f0:f1]) over the spans of the rows
-    each factor reaches.  A product's rows depend only on the same rows of
-    its left factor, so each coarse row sums the same terms in the same
-    order."""
-    R = P.T.tocsr()
-    n = R.shape[0]
-    step = _block_rows(A, n)
-    blocks = []
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        Rb, c0 = _rows(R, r0, r1)
-        Ab, f0 = _rows(A, c0, c0 + Rb.shape[1])
-        Pb, p0 = _rows(P, f0, f0 + Ab.shape[1])
-        C = Rb @ (Ab @ Pb)
-        blocks.append(sp.csr_matrix((C.data, C.indices + p0, C.indptr), shape=(r1 - r0, n)))
-    return sp.vstack(blocks, format="csr")
-
-
 class _Level:
     """One grid of a V-cycle above the coarsest: its matrix, the
     prolongation from the next coarser grid and the smoother."""
@@ -316,7 +272,9 @@ class GridMultigrid:
         while nx * ny > COARSEST_NODES:
             level = _Level(A, nx, ny)
             self.levels.append(level)
-            A = _galerkin(A, level.P)
+            # left-associated, so that the copy P' is freed before the second
+            # product (module docstring)
+            A = (level.P.T.tocsr() @ A) @ level.P
             nx, ny = (nx + 1) // 2, (ny + 1) // 2
         self.coarsest = GridFactor(A, grid_order(nx, ny))
 

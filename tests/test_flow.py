@@ -622,7 +622,8 @@ class TestMultigrid:
         finally:
             tracemalloc.stop()
         assert len(mg.levels) == 3
-        # whole-matrix products made the transient twice the fine matrix
+        # the right-associated product P'(AP) holds P', AP and the coarse
+        # matrix at once, and breaks this bound
         assert peak - kept <= A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
     @pytest.fixture

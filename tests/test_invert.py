@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from speckleflow import linsolve
 from speckleflow.config import finite_float, read_table
-from speckleflow.elastic import ElasticModel, LameField, MU_FLOOR, forward_solve
+from speckleflow.elastic import (ElasticModel, LameField, MU_FLOOR, forward_solve,
+                                 frechet_adjoint)
 from speckleflow.errors import DomainError, FormatError, ShapeMismatch
 from speckleflow.grids import ScalarGrid, VectorGrid, write_f64grid
 from speckleflow.invert import (InversionConfig, IterationTrace,
@@ -117,6 +118,23 @@ class TestLandweberStep:
             p, _, _ = landweber_step(p, u_true, bc, cfg)
             assert np.all(p.lam.data >= 0.0)
             assert np.all(p.mu.data >= MU_FLOOR)
+
+    @pytest.mark.parametrize("band", [None, 3])
+    def test_printed_stepsize_is_the_residual_over_the_gradient(self, band):
+        # omega = ||r||^2 / (||g_lambda||^2 + ||g_mu||^2), with g the gradient
+        # zeroed on the boundary mask
+        lame, bc, u_true, *_ = small_phantom(8, n=16)
+        mask = None if band is None else boundary_band_mask(16, 16, band)
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, stepsize="printed",
+                              boundary_mask=mask, stopping="manual", max_iter=1)
+        p = cfg.initial_for(16, 16)
+        _, omega, _ = landweber_step(p, u_true, bc, cfg)
+        u = forward_solve(p, bc)
+        r = u.data - u_true.data
+        g_lam, g_mu = frechet_adjoint(p, u, VectorGrid(16, 16, r), bc)
+        free = 1.0 if mask is None else 1.0 - mask.data
+        g_lam, g_mu = g_lam.data * free, g_mu.data * free
+        assert omega == np.sum(r * r) / (np.sum(g_lam * g_lam) + np.sum(g_mu * g_mu))
 
 
 class TestNesterov:

@@ -168,8 +168,8 @@ def test_galerkin_operator_and_v_cycle_are_symmetric(gamma):
 
 
 def whole_matrix_level(A, nx, ny):
-    """The inverse diagonal, theta, delta and the coarse operator of a
-    V-cycle level, each formed from the whole matrix."""
+    """The inverse diagonal, theta, delta and the coarse operator (P'A)P of
+    a V-cycle level, each formed from the whole matrix."""
     P = linsolve.prolongation(nx, ny)
     dinv = 1.0 / A.diagonal()
     # |A| over A's own index arrays: `abs(A)` would sort a coarse level's
@@ -177,7 +177,7 @@ def whole_matrix_level(A, nx, ny):
     absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
     upper = float((absA.sum(axis=1).A1 * dinv).max())
     lower = upper / linsolve._CHEB_RATIO
-    return dinv, (upper + lower) / 2.0, (upper - lower) / 2.0, (P.T.tocsr() @ (A @ P)).tocsr()
+    return dinv, (upper + lower) / 2.0, (upper - lower) / 2.0, (P.T.tocsr() @ A) @ P
 
 
 def assert_same_arrays(B, A):
@@ -186,24 +186,31 @@ def assert_same_arrays(B, A):
     assert np.array_equal(B.data.view(np.int64), A.data.view(np.int64))
 
 
-@pytest.mark.parametrize("block_bytes", [4096, 1 << 16])
 @pytest.mark.parametrize("nx, ny, levels", [(64, 48, 1), (47, 53, 1), (100, 90, 2),
                                             (101, 91, 2)])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 20.0])
-def test_block_wise_set_up_matches_whole_matrix_products(monkeypatch, block_bytes, nx, ny,
-                                                         levels, gamma):
-    # small blocks, so that each product is split into many, some at odd rows
-    monkeypatch.setattr(linsolve, "_BLOCK_BYTES", block_bytes)
+def test_set_up_matches_whole_matrix_products(monkeypatch, nx, ny, levels, gamma):
+    # the last coarse operator is kept only inside the coarsest factor
+    factorized = []
+
+    def recorded(A, perm):
+        factorized.append(A)
+        return GridFactor(A, perm)
+
+    monkeypatch.setattr(linsolve, "GridFactor", recorded)
     mg = GridMultigrid(flow_matrix(nx, ny, nx + ny, gamma), nx, ny)
     assert len(mg.levels) == levels
+    coarse = [level.A for level in mg.levels[1:]] + factorized
     rng = np.random.default_rng(nx)
-    for k, level in enumerate(mg.levels):
-        dinv, theta, delta, Ac = whole_matrix_level(level.A, nx, ny)
+    for level, Ac in zip(mg.levels, coarse, strict=True):
+        dinv, theta, delta, ref = whole_matrix_level(level.A, nx, ny)
         assert np.array_equal(level.dinv.view(np.int64), dinv.view(np.int64))
         assert (level.theta, level.delta) == (theta, delta)
-        assert_same_arrays(linsolve._galerkin(level.A, level.P), Ac)
-        if k + 1 < len(mg.levels):
-            assert_same_arrays(mg.levels[k + 1].A, Ac)
+        # P'AP in the other association rounds differently; the largest
+        # difference measured on these systems was 4.7e-16 of the largest entry
+        right = level.P.T.tocsr() @ (level.A @ level.P)
+        assert abs(Ac - right).max() <= 1e-14 * abs(right).max()
+        assert_same_arrays(Ac, ref)
         v = rng.standard_normal(level.P.shape[0])
         assert np.array_equal((level.R @ v).view(np.int64),
                               (level.P.T.tocsr() @ v).view(np.int64))
