@@ -186,10 +186,21 @@ def assert_same_arrays(B, A):
     assert np.array_equal(B.data.view(np.int64), A.data.view(np.int64))
 
 
+def block_wise_product(A, P, block_bytes):
+    """(P'A)P formed by row blocks of P', each meeting about `block_bytes` of
+    A's entries, and stacked."""
+    R = P.T.tocsr()
+    step = max(1, block_bytes * R.shape[0] // (A.data.nbytes + A.indices.nbytes))
+    return sp.vstack([(R[r:r + step] @ A) @ P for r in range(0, R.shape[0], step)],
+                     format="csr")
+
+
+@pytest.mark.parametrize("block_bytes", [4096, 1 << 16])
 @pytest.mark.parametrize("nx, ny, levels", [(64, 48, 1), (47, 53, 1), (100, 90, 2),
                                             (101, 91, 2)])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 20.0])
-def test_set_up_matches_whole_matrix_products(monkeypatch, nx, ny, levels, gamma):
+def test_block_wise_set_up_matches_whole_matrix_products(monkeypatch, block_bytes, nx, ny,
+                                                         levels, gamma):
     # the last coarse operator is kept only inside the coarsest factor
     factorized = []
 
@@ -211,6 +222,10 @@ def test_set_up_matches_whole_matrix_products(monkeypatch, nx, ny, levels, gamma
         right = level.P.T.tocsr() @ (level.A @ level.P)
         assert abs(Ac - right).max() <= 1e-14 * abs(right).max()
         assert_same_arrays(Ac, ref)
+        # each coarse row depends on its own row of P' alone, so the set-up
+        # could form the product in small blocks, some ending at odd rows,
+        # without changing a bit of it
+        assert_same_arrays(Ac, block_wise_product(level.A, level.P, block_bytes))
         v = rng.standard_normal(level.P.shape[0])
         assert np.array_equal((level.R @ v).view(np.int64),
                               (level.P.T.tocsr() @ v).view(np.int64))
