@@ -23,7 +23,6 @@ transpose of the derivative under those pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,14 +178,6 @@ def _element_matrices():
     return k_lam, k_mu
 
 
-class ReducedSystem(NamedTuple):
-    """Stiffness on the free DOFs and the forward right-hand side (load
-    minus the Dirichlet lift's reaction) of one Lame field."""
-
-    K_ff: sp.csc_matrix
-    rhs: np.ndarray
-
-
 class ElasticModel:
     """Discretization of one boundary-value problem.
 
@@ -264,15 +255,14 @@ class ElasticModel:
         return K.tocsc()
 
     @np.errstate(over="ignore", invalid="ignore")  # named below
-    def reduce(self, p: LameField) -> ReducedSystem:
-        """The forward problem of p on the free DOFs: K_ff x = load - K lift;
-        `DomainError` if the stiffness or the right-hand side overflowed."""
+    def reduce(self, p: LameField) -> tuple[sp.csc_matrix, np.ndarray]:
+        """p's forward problem on the free DOFs, K_ff x = rhs = load - K lift,
+        as (K_ff, rhs); `DomainError` if either overflowed."""
         K = self.assemble(p)
-        system = ReducedSystem(K[self.free][:, self.free],
-                               (self.load - K @ self.lift)[self.free])
-        check_overflow("elastic stiffness", system.K_ff.data)
-        check_overflow("elastic right-hand side", system.rhs)
-        return system
+        K_ff, rhs = K[self.free][:, self.free], (self.load - K @ self.lift)[self.free]
+        check_overflow("elastic stiffness", K_ff.data)
+        check_overflow("elastic right-hand side", rhs)
+        return K_ff, rhs
 
     def factorize(self, p: LameField) -> "ElasticFactors":
         """Factorized stiffness of p, with p's displacement solved."""

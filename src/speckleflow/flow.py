@@ -32,7 +32,7 @@ from .errors import DomainError, GridTooSmall, NotSPD, ShapeMismatch
 from .grids import (ScalarGrid, VectorGrid, bilinear_sample, check_filter_width,
                     downsample, gaussian_profiles, prolong, pyramid_sigma,
                     spatial_gradient)
-from .linsolve import COARSEST_NODES, GridMultigrid, check_overflow, solve_spd
+from .linsolve import check_overflow, solve_spd
 from .speckle import DisplacementSample
 
 __all__ = [
@@ -282,22 +282,8 @@ def solve_flow(sys: FlowSystem) -> VectorGrid:
     # the matrix is PSD, so a diagonal entry <= 0 means a zero row
     if not np.all(sys.matrix.diagonal() > 0):
         raise NotSPD("flow system is singular: an unknown enters no term")
-    # passed inline, the V-cycle's only reference is solve_spd's, which drops
-    # it before a fallback factorization
-    x = solve_spd(sys.matrix, sys.rhs, "flow solve", sys.nx, sys.ny, near=_v_cycle(sys))[0]
+    x = solve_spd(sys.matrix, sys.rhs, "flow solve", sys.nx, sys.ny)[0]
     return VectorGrid(sys.nx, sys.ny, x.reshape(sys.ny, sys.nx, 2))
-
-
-def _v_cycle(sys: FlowSystem) -> GridMultigrid | None:
-    """The V-cycle of a system above `COARSEST_NODES` nodes, or None when
-    `GridMultigrid` raises `NotSPD` (a diagonal entry that is not positive,
-    or an exactly singular coarsest matrix)."""
-    if sys.nx * sys.ny <= COARSEST_NODES:
-        return None
-    try:
-        return GridMultigrid(sys.matrix, sys.nx, sys.ny)
-    except NotSPD:
-        return None  # solve_spd factorizes the level
 
 
 def gradient(u: VectorGrid, gradI: VectorGrid, It: ScalarGrid, samples,

@@ -21,13 +21,14 @@ zero pivot (ROADMAP item 3).  A factor that SuperLU cannot allocate raises
 `OutOfMemory`, which nothing retries.
 
 The flow and the elasticity share one solve entry, `solve_spd`: conjugate
-gradients (`solve_near`) preconditioned with a V-cycle or with the factor
-of a nearby matrix, which takes a handful of iterations where a fresh
-factorization would cost far more (Knoll & Keyes 2004, "Jacobian-free
-Newton-Krylov methods", on reusing a stale factorization), and a
-factorization without one or when the iteration gives up.  It is the only
-code that factorizes a system it must solve, solves with that factor and
-judges the answer; it returns the factor for the caller's further solves.
+gradients (`solve_near`) preconditioned with the factor of a nearby matrix,
+which takes a handful of iterations where a fresh factorization would cost
+far more (Knoll & Keyes 2004, "Jacobian-free Newton-Krylov methods", on
+reusing a stale factorization), or else with the V-cycle it builds for a
+whole grid above `COARSEST_NODES` nodes, and a factorization without
+either or when the iteration gives up.  It is the only code that decides
+how a system is solved, factorizes it, solves with that factor and judges
+the answer; it returns the factor for the caller's further solves.
 
 The work of a factorization grows as N^1.5 in the number of nodes.  On
 grids above `COARSEST_NODES` nodes, `GridMultigrid` is a preconditioner
@@ -372,14 +373,22 @@ def solve_spd(A: sp.spmatrix, b: np.ndarray, what: str, nx: int, ny: int,
               ) -> tuple[np.ndarray, GridFactor | None]:
     """Solve the SPD system A x = b over the unknowns of an nx x ny grid to
     machine precision: by `solve_near` with `near`, and by a factorization
-    when `near` is None or `solve_near` gives up.  The factorization orders
-    A by `perm` (`grid_order` of a reduced matrix's free unknowns), or by
-    `grid_order(nx, ny)` when `perm` is None.  An x that overflows is a
-    `DomainError` naming `what`; then `check_solution` judges x.  A
-    factorized x that fails it takes one step of iterative refinement with
-    the same factor (Higham 2002, "Accuracy and Stability of Numerical
-    Algorithms", ch. 12) and is judged again.  Returns x and A's factor, or
-    None when conjugate gradients solved it."""
+    when there is no `near` or `solve_near` gives up.  Given neither `near`
+    nor `perm` (A is over the whole grid), a grid of more than
+    `COARSEST_NODES` nodes takes A's `GridMultigrid` as `near`, unless
+    building it raises `NotSPD`.  The factorization orders A by `perm`
+    (`grid_order` of a reduced matrix's free unknowns), or by
+    `grid_order(nx, ny)`.  An x that overflows is a `DomainError` naming
+    `what`; then `check_solution` judges x.  A factorized x that fails it
+    takes one step of iterative refinement with the same factor (Higham
+    2002, "Accuracy and Stability of Numerical Algorithms", ch. 12) and is
+    judged again.  Returns x and A's factor, or None when conjugate
+    gradients solved it."""
+    if near is None and perm is None and nx * ny > COARSEST_NODES:
+        try:
+            near = GridMultigrid(A, nx, ny)
+        except NotSPD:
+            pass  # the factorization below decides
     try:
         x = None if near is None else solve_near(A, b, near)
     except NotConverged:

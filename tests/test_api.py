@@ -44,13 +44,23 @@ def test_every_error_type_is_raised_in_the_package():
 
 
 
+def named_outside_linsolve(*names) -> set:
+    """(file, name) for each of `names` that a module other than `linsolve` names."""
+    src = Path(speckleflow.__file__).parent
+    return {(path.name, name) for path in src.glob("*.py") if path.name != "linsolve.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None))
+            if name in names}
+
+
 def test_only_linsolve_factorizes_solves_and_judges():
     # one site builds a factor for a system it must solve, solves with it and
     # checks the answer; no other module names the factor or the check
-    src = Path(speckleflow.__file__).parent
-    named = {(path.name, name) for path in src.glob("*.py") if path.name != "linsolve.py"
-             for node in ast.walk(ast.parse(path.read_text()))
-             for name in (getattr(node, "id", None), getattr(node, "attr", None),
-                          getattr(node, "name", None))
-             if name in ("GridFactor", "check_solution")}
-    assert named == set()
+    assert named_outside_linsolve("GridFactor", "check_solution") == set()
+
+
+def test_only_linsolve_chooses_the_preconditioner():
+    # `solve_spd` decides when a grid system gets a V-cycle; no other module
+    # names the V-cycle or the grid size above which it is built
+    assert named_outside_linsolve("GridMultigrid", "COARSEST_NODES") == set()

@@ -15,8 +15,10 @@ import scipy.sparse.linalg as spla
 
 from speckleflow import cli
 from speckleflow.cli import main, read_lame_dir, write_lame_dir, write_pgm
-from speckleflow.config import read_table
+from speckleflow.config import read_config, read_table
 from speckleflow.elastic import LameField, write_bc_config
+from speckleflow.errors import FormatError
+from speckleflow.flow import FlowParams
 from speckleflow.grids import ScalarGrid, VectorGrid, Volume, read_f64grid, write_f64grid
 from speckleflow.invert import boundary_band_mask
 from speckleflow.linsolve import GridFactor
@@ -208,12 +210,14 @@ class TestExitCodes:
         ("flow", "solver = direct\n"),
         ("flow", "tol = 1e-8\n"),
         ("invert", "mu0 = 0\n"),
+        ("flow", "alpha 1\n"),
+        ("flow", "alpha = 1\nalpha = 2\n"),
     ], ids=["synth", "track", "flow", "flow-binary", "invert", "synth-inf",
             "track-nan", "flow-nan", "invert-nan", "invert-omega-nan",
             "invert-omega-negative", "invert-omega-zero", "synth-margin-negative",
             "track-d_max-negative", "track-top_fraction-above-1",
             "flow-levels-zero", "flow-removed-solver", "flow-removed-tol",
-            "invert-mu0-zero"])
+            "invert-mu0-zero", "flow-no-equals", "flow-duplicate-key"])
     def test_bad_config_value_is_runtime_error(self, tmp_path, capsys,
                                                command, text):
         image = tmp_path / "i.f64grid"
@@ -235,6 +239,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("alpha 1\n", ":1: expected 'key = value'"),
+        ("alpha = 1\nalpha = 2\n", ":2: duplicate key 'alpha'")])
+    def test_config_line_errors_name_the_line(self, tmp_path, text, message):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(text)
+        with pytest.raises(FormatError) as info:
+            read_config(cfg, "flow", FlowParams)
+        assert str(info.value) == f"{cfg}{message}"
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 GiB for an array"],
                              ids=["bare", "with-message"])

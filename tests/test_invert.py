@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,30 @@ class TestStoppingRules:
     def test_heuristic_skips_k_zero(self):
         t = self._trace([0.5, 10.0, 9.0], ks=[0, 1, 2])
         assert stop_heuristic(t) == 1
+
+    @pytest.mark.parametrize("acceleration", [True, False])
+    def test_heuristic_run_returns_its_argmin_iterate(self, acceleration):
+        # with steepest-descent stepsizes, sqrt(k) times the plain run's
+        # residual stays above its k = 1 value on this phantom at every noise
+        # level from 0 to 0.02; the printed stepsize moves both argmins past 1
+        _, bc, u_true, *_ = small_phantom(5, n=16)
+        noise = 5e-4 * np.random.default_rng(0).standard_normal(u_true.data.shape)
+        udelta = VectorGrid(16, 16, u_true.data + noise)
+        cfg = InversionConfig(lambda0=490.0, mu0=10.0, acceleration=acceleration,
+                              stepsize="printed", stopping="heuristic", max_iter=12)
+        result, trace = nesterov_iterate(cfg, udelta, bc)
+        assert trace.stopped_by == "heuristic"
+        assert 1 < trace.k_star < cfg.max_iter
+        assert trace.k_star == stop_heuristic(trace)
+        manual, _ = nesterov_iterate(replace(cfg, stopping="manual", max_iter=trace.k_star),
+                                     udelta, bc)
+        np.testing.assert_array_equal(result.lam.data, manual.lam.data)
+        np.testing.assert_array_equal(result.mu.data, manual.mu.data)
+        # no k >= 1 to take the argmin over: the start point
+        start, trace = nesterov_iterate(replace(cfg, max_iter=0), udelta, bc)
+        assert (trace.stopped_by, trace.k_star) == ("heuristic", 0)
+        np.testing.assert_array_equal(start.lam.data, 490.0)
+        np.testing.assert_array_equal(start.mu.data, 10.0)
 
 
 class TestFieldError:

@@ -84,7 +84,7 @@ def stiffness_and_nearby_factor(seed, change, n=20):
 
     def reduced(scale):
         p = LameField(ScalarGrid(n, n, lam * scale), ScalarGrid(n, n, mu * scale))
-        return model.reduce(p).K_ff
+        return model.reduce(p)[0]
 
     near = reduced(1.0 + change * rng.uniform(-1.0, 1.0, (n, n)))
     return reduced(1.0), GridFactor(near, model.order), rng
@@ -385,6 +385,18 @@ def test_inaccurate_solves_are_not_spd(monkeypatch, path):
         solve_with_scaled_factor(monkeypatch, path, 1e-3)
 
 
+def test_an_inaccurate_cg_solution_is_not_spd(monkeypatch):
+    # no factor to refine with, and the level is not factorized either: the
+    # one factorization is the V-cycle's coarsest grid
+    assert 64 * 48 > linsolve.COARSEST_NODES
+    near = linsolve.solve_near
+    monkeypatch.setattr(linsolve, "solve_near", lambda *args: near(*args) * (1 + 1e-6))
+    calls = failing_splu(monkeypatch, NotImplementedError(), first_failing=2)
+    with pytest.raises(NotSPD, match="^relative residual 1.00e-06 too large$"):
+        solve_flow(flow_system(64, 48))
+    assert [a.shape for a, *_ in calls] == [(2 * 32 * 24, 2 * 32 * 24)]
+
+
 @pytest.mark.parametrize("path", ["elastic", "flow"])
 def test_one_refinement_step_repairs_a_solve(monkeypatch, path):
     exact = solve_with_scaled_factor(monkeypatch, path, 0.0)
@@ -435,14 +447,14 @@ from speckleflow.linsolve import GridFactor
 
 n = 300
 model = ElasticModel(n, n, BoundaryConditions(dirichlet=[("bottom", "both", 0.0)]))
-system = model.reduce(LameField.constant(n, n, 490.0, 10.0))
+K_ff, _ = model.reduce(LameField.constant(n, n, 490.0, 10.0))
 with open("/proc/self/status") as f:
     vm = next(int(line.split()[1]) for line in f if line.startswith("VmSize:")) * 1024
 # the factor takes about 350 MB
 resource.setrlimit(resource.RLIMIT_AS,
                    (vm + 200 * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))
 try:
-    GridFactor(system.K_ff, model.order)
+    GridFactor(K_ff, model.order)
 except OutOfMemory as exc:
     print(f"OutOfMemory: {exc}")
 """
